@@ -16,8 +16,7 @@ thread_local unsigned current_shard = barrier_shard;
 
 namespace {
 
-/** Events between wall-clock checks (matches the serial engine's
- * historical amortization). */
+/** Events each worker fires between wall-clock checks. */
 constexpr std::uint64_t clock_check_interval = 8192;
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -120,18 +119,6 @@ DomainEngine::quiescent() const
 }
 
 void
-DomainEngine::runAssigned(unsigned worker, unsigned num_workers,
-                          Cycle wend,
-                          const std::function<bool()> *per_event)
-{
-    for (unsigned d = worker; d < queues_.size(); d += num_workers) {
-        engine_ctx::current_shard = d;
-        queues_[d]->runWindow(wend, per_event);
-    }
-    engine_ctx::current_shard = engine_ctx::barrier_shard;
-}
-
-void
 DomainEngine::windowBarrier(Cycle wend, const Hooks &hooks)
 {
     in_barrier_ = true;
@@ -199,40 +186,14 @@ DomainEngine::windowBarrier(Cycle wend, const Hooks &hooks)
 }
 
 void
-DomainEngine::runSerial(const Hooks &hooks)
+DomainEngine::run(const Hooks &hooks)
 {
-    const auto deadline = std::chrono::steady_clock::now() +
-        std::chrono::duration<double>(hooks.max_wall_seconds);
-    std::uint64_t until_check = clock_check_interval;
-    const std::function<bool()> wall_pred = [&] {
-        if (--until_check > 0)
-            return true;
-        until_check = clock_check_interval;
-        if (std::chrono::steady_clock::now() < deadline)
-            return true;
-        requestStop();
-        return false;
-    };
-    const std::function<bool()> *per_event =
-        hooks.max_wall_seconds > 0.0 ? &wall_pred : nullptr;
-
-    for (;;) {
-        const Cycle wend = barrier_tick_ + lookahead_;
-        in_barrier_ = false;
-        runAssigned(0, 1, wend, per_event);
-        windowBarrier(wend, hooks);
-        if (stopRequested())
-            break;
-        if (hooks.keep_going && !hooks.keep_going(barrier_tick_))
-            break;
-        if (quiescent())
-            break;
-    }
-}
-
-void
-DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
-{
+    stop_requested_.store(false, std::memory_order_relaxed);
+    const unsigned num_workers =
+        mode_ == SimEngine::Parallel
+            ? std::min(threads_, numDomains())
+            : 1u;
+    const bool watchdog = hooks.max_wall_seconds > 0.0;
     const auto deadline = std::chrono::steady_clock::now() +
         std::chrono::duration<double>(hooks.max_wall_seconds);
 
@@ -240,69 +201,82 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
     SpinBarrier done(num_workers);
     std::atomic<bool> shutdown{false};
     Cycle window_end = 0;
-    std::vector<std::exception_ptr> errors(num_workers);
 
-    // Barrier-wait telemetry: each worker times its own waits into a
-    // private padded shard; the shards are merged into the profile in
-    // worker-id order only after the workers have been joined, so no
-    // shard is ever read while its owner might still write it.
-    const bool time_waits = profile_ && profile_->host_timing;
-    struct alignas(64) WaitShard
+    // Per-worker state, padded apart: the worker's first error, its
+    // watchdog countdown (carried across windows) and its barrier-wait
+    // samples. The samples are merged into the profile in worker-id
+    // order only after the workers have been joined, so no shard is
+    // ever read while its owner might still write it.
+    struct alignas(64) Worker
     {
-        telemetry::Histogram h;
+        std::exception_ptr error;
+        std::uint64_t until_check = clock_check_interval;
+        telemetry::Histogram waits;
     };
-    std::vector<WaitShard> waits(time_waits ? num_workers : 0);
-    const auto timedWait = [&](SpinBarrier &b, unsigned id) {
+    std::vector<Worker> workers(num_workers);
+
+    // A lone worker never waits at a barrier, so it samples nothing.
+    const bool time_waits =
+        profile_ && profile_->host_timing && num_workers > 1;
+    const auto timedWait = [&](SpinBarrier &b, Worker &w) {
         if (!time_waits) {
             b.arriveAndWait();
             return;
         }
         const auto t0 = std::chrono::steady_clock::now();
         b.arriveAndWait();
-        waits[id].h.sample(static_cast<std::uint64_t>(
+        w.waits.sample(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
                 .count()));
     };
 
-    // Per-worker window body. The wall-clock predicate is created in
-    // the worker's own frame so its amortization counter is private.
+    // One window of every domain assigned to worker @p id. Under the
+    // watchdog the clock is read once per clock_check_interval events;
+    // a passed deadline ends the running domain's window early and
+    // stops the run at the barrier.
     const auto workerWindow = [&](unsigned id) {
-        std::uint64_t until_check = clock_check_interval;
-        const std::function<bool()> wall_pred = [&] {
-            if (--until_check > 0)
-                return true;
-            until_check = clock_check_interval;
-            if (std::chrono::steady_clock::now() < deadline)
-                return true;
-            requestStop();
-            return false;
-        };
-        const std::function<bool()> *per_event =
-            hooks.max_wall_seconds > 0.0 ? &wall_pred : nullptr;
+        Worker &w = workers[id];
         try {
-            runAssigned(id, num_workers, window_end, per_event);
+            for (unsigned d = id; d < queues_.size(); d += num_workers) {
+                engine_ctx::current_shard = d;
+                EventQueue &q = *queues_[d];
+                if (!watchdog) {
+                    q.runWindow(window_end);
+                    continue;
+                }
+                for (;;) {
+                    w.until_check -= q.runWindow(window_end, w.until_check);
+                    if (w.until_check > 0)
+                        break;
+                    w.until_check = clock_check_interval;
+                    if (std::chrono::steady_clock::now() >= deadline) {
+                        requestStop();
+                        break;
+                    }
+                }
+            }
         } catch (...) {
-            errors[id] = std::current_exception();
-            engine_ctx::current_shard = engine_ctx::barrier_shard;
+            w.error = std::current_exception();
             requestStop();
         }
+        engine_ctx::current_shard = engine_ctx::barrier_shard;
     };
 
-    std::vector<std::thread> workers;
-    workers.reserve(num_workers - 1);
+    std::vector<std::thread> threads;
+    threads.reserve(num_workers - 1);
     for (unsigned id = 1; id < num_workers; ++id) {
-        workers.emplace_back([&, id] {
+        threads.emplace_back([&, id] {
             // fatal()/panic() on a worker must not kill the process
             // before the coordinator can report it from the main
             // thread with the caller's own capture semantics.
             ScopedErrorCapture capture;
             for (;;) {
-                timedWait(start, id);
+                timedWait(start, workers[id]);
                 if (shutdown.load(std::memory_order_acquire))
                     return;
                 workerWindow(id);
-                timedWait(done, id);
+                timedWait(done, workers[id]);
             }
         });
     }
@@ -310,21 +284,23 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
     const auto stopWorkers = [&] {
         shutdown.store(true, std::memory_order_release);
         start.arriveAndWait();
-        for (std::thread &t : workers)
+        for (std::thread &t : threads)
             t.join();
-        workers.clear();
     };
 
+    // The calling thread is worker 0 and runs every barrier phase.
     try {
         for (;;) {
             window_end = barrier_tick_ + lookahead_;
             in_barrier_ = false;
             start.arriveAndWait();
             workerWindow(0);
-            timedWait(done, 0);
-            for (const std::exception_ptr &e : errors)
-                if (e)
-                    throw SimAbortError(LogLevel::Panic, "");
+            timedWait(done, workers[0]);
+            const bool failed = std::any_of(
+                workers.begin(), workers.end(),
+                [](const Worker &w) { return w.error != nullptr; });
+            if (failed)
+                break;
             windowBarrier(window_end, hooks);
             if (stopRequested())
                 break;
@@ -340,18 +316,19 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
     stopWorkers();
 
     if (time_waits)
-        for (const WaitShard &w : waits)
-            profile_->barrier_wait_ns.merge(w.h);
+        for (const Worker &w : workers)
+            profile_->barrier_wait_ns.merge(w.waits);
 
     // Surface the first worker failure (lowest worker id) from the
     // main thread, preserving the caller's capture semantics: rethrow
     // under an active ScopedErrorCapture, re-issue as fatal()/panic()
-    // otherwise (the capture on the worker diverted the message).
-    for (const std::exception_ptr &e : errors) {
-        if (!e)
+    // otherwise (the capture on a spawned worker diverted the
+    // message).
+    for (const Worker &w : workers) {
+        if (!w.error)
             continue;
         try {
-            std::rethrow_exception(e);
+            std::rethrow_exception(w.error);
         } catch (const SimAbortError &abort) {
             if (errorCaptureActive())
                 throw;
@@ -360,22 +337,7 @@ DomainEngine::runParallel(const Hooks &hooks, unsigned num_workers)
             panic("%s", abort.what());
         }
     }
-}
-
-void
-DomainEngine::run(const Hooks &hooks)
-{
-    stop_requested_.store(false, std::memory_order_relaxed);
-    const unsigned workers =
-        mode_ == SimEngine::Parallel
-            ? std::min(threads_, numDomains())
-            : 1u;
-    if (workers > 1)
-        runParallel(hooks, workers);
-    else
-        runSerial(hooks);
     in_barrier_ = false;
-    engine_ctx::current_shard = engine_ctx::barrier_shard;
 }
 
 } // namespace carve

@@ -11,13 +11,14 @@
  * produces — is byte-identical whether the domains run on one thread
  * or many.
  *
- * SimEngine::Serial runs the same windowed algorithm single-threaded;
- * SimEngine::Parallel fans the domains out over sim_threads persistent
- * workers joined by a spin-then-yield sense-reversing barrier (the
- * window cadence is a few thousand barriers per million cycles, far
- * too hot for a mutex/condvar barrier). Identity between the two modes
- * holds by construction: thread assignment never influences event
- * order, only which core fires it.
+ * Both modes run one window loop. SimEngine::Parallel fans the
+ * domains out over sim_threads persistent workers joined by a
+ * spin-then-yield sense-reversing barrier (the window cadence is a few
+ * thousand barriers per million cycles, far too hot for a
+ * mutex/condvar barrier); SimEngine::Serial is the same loop with one
+ * worker, the calling thread, and no threads spawned. Identity between
+ * the two modes holds by construction: thread assignment never
+ * influences event order, only which core fires it.
  */
 
 #ifndef CARVE_COMMON_DOMAIN_ENGINE_HH
@@ -120,8 +121,10 @@ class DomainEngine
         /** Continue into the window starting at @p next_window_start?
          * Checked after each barrier. */
         std::function<bool(Cycle next_window_start)> keep_going;
-        /** Wall-clock budget; 0 disables the check. Tripping it stops
-         * the run at the next barrier (stopRequested() reports it). */
+        /** Wall-clock budget; 0 disables the check. Each worker reads
+         * the clock once per 8192 events it fires; tripping it ends
+         * the running domain's window early and stops the run at the
+         * next barrier (stopRequested() reports it). */
         double max_wall_seconds = 0.0;
     };
 
@@ -199,17 +202,20 @@ class DomainEngine
     }
 
     /** Execute windows until keep_going declines, stop is requested,
-     * or the whole system quiesces. */
+     * or the whole system quiesces. An error raised by an event on any
+     * worker ends the run after that window; the lowest worker's error
+     * is rethrown on the calling thread. */
     void run(const Hooks &hooks);
 
     /**
      * Attach the self-profiling record: every window barrier samples
      * per-domain occupancy, outbox depth and exchange volume into
      * @p p (single-threaded, so plain histograms suffice), and — when
-     * p->host_timing is set — parallel workers time their barrier
-     * waits into private shards merged into p->barrier_wait_ns in
-     * worker-id order after the run. Null detaches; when detached the
-     * barrier path does no extra work at all.
+     * p->host_timing is set and more than one worker runs — workers
+     * time their barrier waits into private shards merged into
+     * p->barrier_wait_ns in worker-id order after the run. Null
+     * detaches; when detached the barrier path does no extra work at
+     * all.
      */
     void attachProfile(telemetry::EngineProfile *p) { profile_ = p; }
 
@@ -256,14 +262,9 @@ class DomainEngine
         std::atomic<std::uint32_t> phase_{0};
     };
 
-    /** Run every domain assigned to @p worker for this window. */
-    void runAssigned(unsigned worker, unsigned num_workers, Cycle wend,
-                     const std::function<bool()> *per_event);
     /** Exchange outboxes into destination queues in (tick, src, seq)
      * order, then run the barrier hook and actions. */
     void windowBarrier(Cycle wend, const Hooks &hooks);
-    void runSerial(const Hooks &hooks);
-    void runParallel(const Hooks &hooks, unsigned num_workers);
 
     const Cycle lookahead_;
     const SimEngine mode_;

@@ -15,17 +15,16 @@
  *    occur on hot paths.
  *  - Event nodes come from a chunked free list, so steady-state
  *    scheduling performs no allocation at all.
- *  - The default engine is a two-level calendar queue: a near-horizon
- *    ring of per-cycle buckets gives O(1) schedule/fire for the dense
+ *  - The queue is a two-level calendar: a near-horizon ring of
+ *    per-cycle buckets gives O(1) schedule/fire for the dense
  *    short-delay traffic the simulator generates, and a far-horizon
  *    binary heap absorbs the rare long-delay events (kernel launches,
  *    watchdogs). Events migrate heap -> ring as simulated time
  *    advances, preserving exact (tick, seq) order.
  *
- * The legacy single-heap engine is kept behind the CARVE_EVENTQ=heap
- * environment switch (or EventEngine::Heap) purely so tests can assert
- * the two engines replay byte-identically; it will be removed once the
- * calendar engine has soaked.
+ * Components normally reach their queue through DomainEngine, which
+ * drives one EventQueue per event domain window by window with
+ * runWindow().
  */
 
 #ifndef CARVE_COMMON_EVENT_QUEUE_HH
@@ -33,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <queue>
@@ -42,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace carve {
@@ -197,28 +194,15 @@ bindEvent(T *obj, Bound... bound)
         obj, std::tuple<Bound...>(bound...)});
 }
 
-/** Selectable event-engine implementation (see file comment). */
-enum class EventEngine : std::uint8_t {
-    Calendar,  ///< two-level bucketed calendar queue (default)
-    Heap,      ///< legacy single binary heap (A/B testing only)
-};
-
 /**
  * The event queue, keyed by (tick, sequence). schedule()/fire are
- * allocation-free in steady state; see file comment for the engine
+ * allocation-free in steady state; see file comment for the queue
  * design.
  */
 class EventQueue
 {
   public:
-    /** Compatibility alias: component interfaces still traffic in
-     * std::function callbacks; EventFn absorbs them on schedule. */
-    using Callback = std::function<void()>;
-
-    /** Engine chosen by the CARVE_EVENTQ environment variable
-     * ("calendar" default, "heap" for the legacy engine). */
     EventQueue();
-    explicit EventQueue(EventEngine engine);
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -226,9 +210,6 @@ class EventQueue
 
     /** Current simulation time in cycles. */
     Cycle now() const { return now_; }
-
-    /** Engine this queue was constructed with. */
-    EventEngine engine() const { return engine_; }
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -241,26 +222,6 @@ class EventQueue
     scheduleAfter(Cycle delay, EventFn fn)
     {
         schedule(now_ + delay, std::move(fn));
-    }
-
-    /**
-     * Re-arm the currently firing event @p delay cycles from now,
-     * reusing its node and callback in place: no allocation, no
-     * callback reconstruction. Only valid while a callback is running
-     * (fatal otherwise). The sequence number is claimed immediately,
-     * so ordering is byte-identical to calling scheduleAfter() with an
-     * equivalent callback at the same point. The poster child is a
-     * fixed-cadence retry poll that re-parks itself while a resource
-     * stays full.
-     */
-    void
-    repeatAfter(Cycle delay)
-    {
-        if (!firing_)
-            fatal("EventQueue: repeatAfter outside a callback");
-        firing_->when = now_ + delay;
-        firing_->seq = next_seq_++;
-        repeat_ = true;
     }
 
     /** Number of pending events. */
@@ -279,15 +240,6 @@ class EventQueue
      */
     std::uint64_t run(std::uint64_t limit = UINT64_MAX);
 
-    /**
-     * Run events while @p keep_going returns true (checked before each
-     * event). @return number of events executed.
-     */
-    std::uint64_t runWhile(const std::function<bool()> &keep_going);
-
-    /** Execute exactly one event if available. @return true if fired. */
-    bool step();
-
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
@@ -298,23 +250,20 @@ class EventQueue
     Cycle nextTick() const;
 
     /**
-     * Fire every event with tick < @p end in (tick, seq) order; used
-     * by the domain engine to execute one lookahead window. now() is
-     * left at the last fired tick — never advanced to @p end. When
-     * @p per_event is non-null it runs after each event; returning
-     * false stops the window early.
+     * Fire events with tick < @p end in (tick, seq) order, stopping
+     * early once @p limit events have fired; used by the domain engine
+     * to execute one lookahead window. now() is left at the last fired
+     * tick — never advanced to @p end.
      * @return number of events executed.
      */
-    std::uint64_t runWindow(Cycle end,
-                            const std::function<bool()> *per_event =
-                                nullptr);
+    std::uint64_t runWindow(Cycle end, std::uint64_t limit = UINT64_MAX);
 
   private:
     /** One pending event. Nodes are pooled and recycled through a
      * free list; fn is the only non-POD member. Sized to one cache
      * line: in MSHR-saturated phases the pending-event working set is
      * thousands of nodes, and halving the node footprint keeps the
-     * fire/re-arm loop in L2. */
+     * fire/schedule loop in L2. */
     struct EventNode
     {
         Cycle when = 0;
@@ -362,15 +311,9 @@ class EventQueue
     EventNode *popScan(std::size_t start);
     void fireNext();
 
-    EventEngine engine_ = EventEngine::Calendar;
     Cycle now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
-
-    // In-place re-arm support (repeatAfter): the node whose callback
-    // is currently executing, and whether it asked to fire again.
-    EventNode *firing_ = nullptr;
-    bool repeat_ = false;
 
     // Near-horizon ring: bucket (t % horizon) holds exactly the
     // pending events at tick t for t in [now_, now_ + horizon), in
@@ -381,7 +324,7 @@ class EventQueue
     std::size_t ring_count_ = 0;
     Cycle window_end_ = horizon;
 
-    // Far horizon (and the entire queue in Heap mode).
+    // Far horizon: events at or past window_end_.
     std::priority_queue<EventNode *, std::vector<EventNode *>,
                         FarLater>
         far_;

@@ -1,7 +1,5 @@
 #include "core/simulator.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <thread>
 
@@ -15,8 +13,8 @@ namespace {
 
 /**
  * Resolve the engine selection for one run: config fields, then the
- * SimJob option overrides, then the environment. Returns the config
- * the machine is actually built with.
+ * SimJob option overrides. Returns the config the machine is actually
+ * built with.
  */
 SystemConfig
 resolveEngine(const SimJob &job)
@@ -26,37 +24,6 @@ resolveEngine(const SimJob &job)
         cfg.engine = *job.options.engine;
     if (job.options.sim_threads)
         cfg.sim_threads = *job.options.sim_threads;
-
-    if (const char *env = std::getenv("CARVE_EVENTQ")) {
-        // Back-compat: CARVE_EVENTQ grew "serial"/"parallel" values
-        // before the engine moved into SimJob. "calendar"/"heap"
-        // still select the queue implementation (see event_queue.cc)
-        // and say nothing about the simulation engine.
-        if (std::strcmp(env, "serial") == 0 ||
-            std::strcmp(env, "parallel") == 0) {
-            static bool warned = false;
-            if (!warned) {
-                warned = true;
-                warn("CARVE_EVENTQ=%s is deprecated: select the "
-                     "engine via SimJob.options.engine or the "
-                     "'engine' config override", env);
-            }
-            cfg.engine = parseSimEngine(env);
-        }
-    }
-    if (const char *env = std::getenv("CARVE_SIM_THREADS")) {
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            warn("CARVE_SIM_THREADS=%s overrides the job's "
-                 "sim_threads", env);
-        }
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (!*env || *end)
-            fatal("CARVE_SIM_THREADS: cannot parse '%s'", env);
-        cfg.sim_threads = static_cast<unsigned>(v);
-    }
 
     // Tracing samples counters at window barriers and interleaves
     // with the executing domains; it is only supported serially.

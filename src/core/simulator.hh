@@ -58,14 +58,12 @@ struct RunOptions
      * counts. */
     telemetry::Options telemetry;
     /** Simulation engine override: when set, wins over config.engine.
-     * Serial and Parallel run the same windowed algorithm and produce
-     * byte-identical stat trees. The deprecated CARVE_EVENTQ
-     * environment variable ("serial"/"parallel") overrides both. */
+     * Serial and Parallel run the same window loop (Serial with one
+     * worker) and produce byte-identical stat trees. */
     std::optional<SimEngine> engine;
     /** Worker-thread override for SimEngine::Parallel: when set, wins
      * over config.sim_threads. Must be >= 1 and no larger than the
-     * host's hardware threads (run() fatals otherwise). The
-     * CARVE_SIM_THREADS environment variable overrides both. */
+     * host's hardware threads (run() fatals otherwise). */
     std::optional<unsigned> sim_threads;
 };
 
@@ -94,11 +92,9 @@ struct SimJob
  * result. Every other runner in the tree is a thin wrapper over
  * this call.
  *
- * Engine selection is resolved here, in increasing precedence:
- * config.engine/config.sim_threads, then the RunOptions overrides,
- * then the CARVE_EVENTQ ("serial"/"parallel"; deprecated) and
- * CARVE_SIM_THREADS environment variables. The resolved values are
- * what the machine is built with and what SimResult reports.
+ * Engine selection is resolved here: config.engine/config.sim_threads,
+ * overridden by the RunOptions fields when set. The resolved values
+ * are what the machine is built with and what SimResult reports.
  */
 SimResult run(const SimJob &job);
 

@@ -125,11 +125,14 @@ Server::serve()
         if (cfd < 0)
             continue;
         pruneConnections();
+        {
+            std::lock_guard lock(mu_);
+            ++connections_;
+        }
         conns_.emplace_back();
         Conn &c = conns_.back();
         c.chan = LineChannel(cfd);
         c.th = std::jthread([this, &c] { connectionLoop(&c); });
-        ++connections_;
     }
 
     // ---- graceful drain -------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -248,9 +249,12 @@ TEST(ConfigDeathTest, ScaledRequiresPowerOfTwo)
                 "power of two");
 }
 
-class PolicyParseTest
-    : public ::testing::TestWithParam<
-          std::pair<const char *, ReplicationPolicy>>
+// The alias is a std::string, not a const char *: gtest prints a pointer
+// parameter with its address, which ctest then bakes into the test name,
+// so the name would change with every build.
+using PolicyAlias = std::pair<std::string, ReplicationPolicy>;
+
+class PolicyParseTest : public ::testing::TestWithParam<PolicyAlias>
 {
 };
 
@@ -262,13 +266,12 @@ TEST_P(PolicyParseTest, ParsesAliases)
 
 INSTANTIATE_TEST_SUITE_P(
     Aliases, PolicyParseTest,
-    ::testing::Values(
-        std::make_pair("none", ReplicationPolicy::None),
-        std::make_pair("readonly", ReplicationPolicy::ReadOnly),
-        std::make_pair("read-only", ReplicationPolicy::ReadOnly),
-        std::make_pair("RO", ReplicationPolicy::ReadOnly),
-        std::make_pair("all", ReplicationPolicy::All),
-        std::make_pair("IDEAL", ReplicationPolicy::All)));
+    ::testing::Values(PolicyAlias("none", ReplicationPolicy::None),
+                      PolicyAlias("readonly", ReplicationPolicy::ReadOnly),
+                      PolicyAlias("read-only", ReplicationPolicy::ReadOnly),
+                      PolicyAlias("RO", ReplicationPolicy::ReadOnly),
+                      PolicyAlias("all", ReplicationPolicy::All),
+                      PolicyAlias("IDEAL", ReplicationPolicy::All)));
 
 TEST(Config, ParsePlacementAliases)
 {

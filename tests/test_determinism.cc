@@ -1,15 +1,13 @@
-/** @file Engine A/B determinism and the SimJob entry point.
+/** @file Run-to-run determinism and the SimJob entry point.
  *
- * The calendar-queue engine must be a pure performance change: a full
- * simulation replayed under the legacy heap engine (CARVE_EVENTQ=heap)
- * has to produce a byte-identical stat tree. These tests pin that
- * contract, plus the SimJob request-struct API every driver now
- * builds on.
+ * Repeating a run, or tracing it, must reproduce the stat tree byte
+ * for byte. These tests pin that contract, plus the SimJob
+ * request-struct API that carve-sweep, the benches and the examples
+ * build on.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "core/simulator.hh"
@@ -42,39 +40,19 @@ fig08Job(Preset preset)
                          suiteWorkload("Lulesh", suite), fastOpts());
 }
 
-/** Run @p job under the named engine and serialize the stat tree. */
+/** Run @p job and serialize the stat tree. */
 std::string
-statBytesUnder(const char *engine, const SimJob &job)
+statBytes(const SimJob &job)
 {
-    setenv("CARVE_EVENTQ", engine, 1);
-    const SimResult r = run(job);
-    unsetenv("CARVE_EVENTQ");
-    return harness::statTreeToJson(r.stat_tree).dump();
-}
-
-TEST(EngineDeterminism, Fig08CellReplaysByteIdenticalAcrossEngines)
-{
-    const SimJob job = fig08Job(Preset::NumaGpu);
-    const std::string calendar = statBytesUnder("calendar", job);
-    const std::string heap = statBytesUnder("heap", job);
-    EXPECT_GT(calendar.size(), 100u);  // a real tree, not "{}"
-    EXPECT_EQ(calendar, heap);
-}
-
-TEST(EngineDeterminism, CarvePresetReplaysByteIdenticalAcrossEngines)
-{
-    // The CARVE preset exercises the RDC controller and hardware
-    // coherence paths that were converted to pre-bound events.
-    const SimJob job = fig08Job(Preset::CarveHwc);
-    EXPECT_EQ(statBytesUnder("calendar", job),
-              statBytesUnder("heap", job));
+    return harness::statTreeToJson(run(job).stat_tree).dump();
 }
 
 TEST(EngineDeterminism, RepeatRunsAreByteIdentical)
 {
     const SimJob job = fig08Job(Preset::NumaGpu);
-    EXPECT_EQ(statBytesUnder("calendar", job),
-              statBytesUnder("calendar", job));
+    const std::string first = statBytes(job);
+    EXPECT_GT(first.size(), 100u);  // a real tree, not "{}"
+    EXPECT_EQ(first, statBytes(job));
 }
 
 TEST(EngineDeterminism, TracingOnVsOffIsByteIdentical)
@@ -90,8 +68,7 @@ TEST(EngineDeterminism, TracingOnVsOffIsByteIdentical)
     traced.options.trace.buffer_capacity = std::size_t{1} << 21;
     traced.options.trace.sample_interval = 1000;
 
-    EXPECT_EQ(statBytesUnder("calendar", plain),
-              statBytesUnder("calendar", traced));
+    EXPECT_EQ(statBytes(plain), statBytes(traced));
 }
 
 // ---- SimJob API ---------------------------------------------------

@@ -1,6 +1,7 @@
 /** @file Per-GPU event-domain engine: serial-vs-parallel byte
  * identity over the full preset grid, the conservative lookahead
- * window, and sim_threads validation.
+ * window, worker error propagation, the wall-clock watchdog and
+ * sim_threads validation.
  *
  * The contract under test is the PR's headline: SimEngine::Serial and
  * SimEngine::Parallel run the same windowed algorithm, so the entire
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/domain_engine.hh"
+#include "common/logging.hh"
 #include "core/simulator.hh"
 #include "core/system_preset.hh"
 #include "harness/stats_json.hh"
@@ -253,6 +255,80 @@ TEST(DomainEngine, LookaheadWindowTracksMinimumLinkLatency)
     EXPECT_GE(narrow, cfg.link.latency + 1);
     cfg.link.latency = 0;
     EXPECT_GE(DomainEngine::lookaheadWindow(cfg), 1u);
+}
+
+// ---- worker errors ------------------------------------------------
+
+/** Engine modes the error tests cover: serial, and parallel with the
+ * failing domain on a spawned worker (2 and 3 workers). */
+struct ModeCase
+{
+    SimEngine mode;
+    unsigned threads;
+};
+constexpr ModeCase error_cases[] = {
+    {SimEngine::Serial, 1},
+    {SimEngine::Parallel, 2},
+    {SimEngine::Parallel, 3},
+};
+
+/** Run a two-GPU engine whose domain 1 calls fatal() mid-window. */
+void
+runFailingDomain(const ModeCase &c)
+{
+    DomainEngine engine(2, 10, c.mode, c.threads);
+    engine.queue(1).schedule(5, [] { fatal("boom in domain 1"); });
+    engine.run({});
+}
+
+TEST(DomainEngine, WorkerErrorIsRethrownWithItsMessage)
+{
+    for (const ModeCase &c : error_cases) {
+        ScopedErrorCapture capture;
+        try {
+            runFailingDomain(c);
+            ADD_FAILURE() << "no error at threads=" << c.threads;
+        } catch (const SimAbortError &e) {
+            EXPECT_EQ(e.level(), LogLevel::Fatal)
+                << "threads=" << c.threads;
+            EXPECT_STREQ(e.what(), "boom in domain 1")
+                << "threads=" << c.threads;
+        }
+    }
+}
+
+TEST(EngineDeathTest, WorkerFatalExitsWithItsMessage)
+{
+    for (const ModeCase &c : error_cases) {
+        EXPECT_EXIT(runFailingDomain(c), ::testing::ExitedWithCode(1),
+                    "boom in domain 1")
+            << "threads=" << c.threads;
+    }
+}
+
+// ---- wall-clock watchdog ------------------------------------------
+
+TEST(EngineWatchdog, WallClockBudgetStopsTheRunEarly)
+{
+    // A budget far below the run's length trips at the first clock
+    // read (after 8192 events on some worker) under either engine.
+    SimJob job = gridJob(Preset::CarveHwc, "Lulesh");
+    const SimResult full = run(job);
+    ASSERT_FALSE(full.watchdog_tripped);
+
+    job.options.max_wall_seconds = 1e-6;
+    job.options.tolerate_watchdog = true;
+    const ModeCase cases[] = {
+        {SimEngine::Serial, 1},
+        {SimEngine::Parallel, std::min(2u, threadCounts().back())},
+    };
+    for (const ModeCase &c : cases) {
+        job.options.engine = c.mode;
+        job.options.sim_threads = c.threads;
+        const SimResult r = run(job);
+        EXPECT_TRUE(r.watchdog_tripped) << "threads=" << c.threads;
+        EXPECT_LT(r.events, full.events) << "threads=" << c.threads;
+    }
 }
 
 // ---- sim_threads validation ---------------------------------------

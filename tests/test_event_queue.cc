@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -80,29 +80,6 @@ TEST(EventQueue, RunWithLimitStopsEarly)
     EXPECT_EQ(eq.pending(), 6u);
 }
 
-TEST(EventQueue, RunWhilePredicateStopsExecution)
-{
-    EventQueue eq;
-    int fired = 0;
-    for (Cycle t = 0; t < 10; ++t)
-        eq.schedule(t, [&] { ++fired; });
-    eq.runWhile([&] { return fired < 3; });
-    EXPECT_EQ(fired, 3);
-}
-
-TEST(EventQueue, StepExecutesExactlyOne)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1, [&] { ++fired; });
-    eq.schedule(2, [&] { ++fired; });
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(eq.step());
-    EXPECT_FALSE(eq.step());
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(EventQueue, ExecutedCountsLifetimeEvents)
 {
     EventQueue eq;
@@ -122,14 +99,6 @@ TEST(EventQueueDeathTest, SchedulingInThePastIsFatal)
     eq.run();
     // The diagnostic must name the offending tick and current time.
     EXPECT_DEATH(eq.schedule(50, [] {}), "when=50 now=100");
-}
-
-TEST(EventQueueDeathTest, PastScheduleFatalOnHeapEngineToo)
-{
-    EventQueue eq(EventEngine::Heap);
-    eq.schedule(7, [] {});
-    eq.run();
-    EXPECT_DEATH(eq.schedule(3, [] {}), "when=3 now=7");
 }
 
 TEST(EventQueue, SchedulingAtNowIsAllowed)
@@ -177,52 +146,71 @@ TEST(EventQueue, FarAndNearEventsAtSameTickKeepSeqOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueue, EnginesProduceIdenticalExecutionOrder)
+TEST(EventQueue, RandomScheduleFiresInTickSeqOrder)
 {
-    // Drive an identical pseudo-random schedule through both engines
-    // and require the exact same (tick, id) execution sequence —
-    // the determinism contract behind the CARVE_EVENTQ switch.
-    using Trace = std::vector<std::pair<Cycle, int>>;
-    const auto drive = [](EventEngine engine) {
-        EventQueue eq(engine);
-        Trace trace;
-        std::uint64_t rng = 12345;
-        int id = 0;
-        const std::function<void()> spawn = [&] {
-            trace.emplace_back(eq.now(), id++);
-            for (int k = 0; k < 2 && trace.size() < 500; ++k) {
-                rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-                eq.scheduleAfter(1 + ((rng >> 33) % 2048), spawn);
-            }
-        };
-        eq.schedule(0, spawn);
-        eq.runWhile([&] { return trace.size() < 500; });
-        return trace;
+    // A pseudo-random cascade of events must fire in exactly the
+    // order of a sort on (tick, scheduling sequence). Delays reach
+    // past the 1024-cycle ring horizon (far-heap migration), one in
+    // eight is zero (same-tick cascades), and the run first stops at
+    // a runWindow() end boundary before draining.
+    EventQueue eq;
+    std::vector<Cycle> when;  // indexed by scheduling sequence
+    std::vector<std::size_t> fired;
+    std::uint64_t rng = 12345;
+    std::function<void(std::size_t)> fire;
+    const auto add = [&](Cycle t) {
+        const std::size_t seq = when.size();
+        when.push_back(t);
+        eq.schedule(t, [&fire, seq] { fire(seq); });
     };
-    EXPECT_EQ(drive(EventEngine::Calendar),
-              drive(EventEngine::Heap));
+    fire = [&](std::size_t seq) {
+        EXPECT_EQ(eq.now(), when[seq]);
+        fired.push_back(seq);
+        for (int k = 0; k < 2 && when.size() < 2000; ++k) {
+            rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+            const std::uint64_t r = rng >> 33;
+            add(eq.now() + (r % 8 == 0 ? 0 : 1 + (r >> 3) % 2048));
+        }
+    };
+    add(0);
+
+    const auto tickSeqOrder = [&](Cycle end) {
+        std::vector<std::size_t> order;
+        for (std::size_t seq = 0; seq < when.size(); ++seq)
+            if (when[seq] < end)
+                order.push_back(seq);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return when[a] < when[b];
+                         });
+        return order;
+    };
+
+    const Cycle end = 5'000;
+    const std::uint64_t n = eq.runWindow(end);
+    EXPECT_EQ(n, fired.size());
+    EXPECT_EQ(fired, tickSeqOrder(end));
+    ASSERT_GT(fired.size(), 100u);
+    ASSERT_GT(eq.pending(), 100u);
+    EXPECT_LT(eq.now(), end);  // never advanced to the boundary
+    EXPECT_GE(eq.nextTick(), end);
+
+    eq.run();
+    EXPECT_EQ(fired, tickSeqOrder(EventQueue::no_event));
+    EXPECT_EQ(fired.size(), when.size());
 }
 
-TEST(EventQueue, EngineSelectableByConstructorAndEnv)
+TEST(EventQueue, RunWindowStopsAtEndOrLimit)
 {
-    EXPECT_EQ(EventQueue(EventEngine::Heap).engine(),
-              EventEngine::Heap);
-    EXPECT_EQ(EventQueue(EventEngine::Calendar).engine(),
-              EventEngine::Calendar);
-
-    setenv("CARVE_EVENTQ", "heap", 1);
-    EXPECT_EQ(EventQueue().engine(), EventEngine::Heap);
-    setenv("CARVE_EVENTQ", "calendar", 1);
-    EXPECT_EQ(EventQueue().engine(), EventEngine::Calendar);
-    unsetenv("CARVE_EVENTQ");
-    EXPECT_EQ(EventQueue().engine(), EventEngine::Calendar);
-}
-
-TEST(EventQueueDeathTest, BadEngineEnvValueIsFatal)
-{
-    setenv("CARVE_EVENTQ", "bogus", 1);
-    EXPECT_DEATH((void)EventQueue(), "CARVE_EVENTQ");
-    unsetenv("CARVE_EVENTQ");
+    EventQueue eq;
+    for (Cycle t = 0; t < 10; ++t)
+        eq.schedule(t, [] {});
+    EXPECT_EQ(eq.runWindow(5, 3), 3u);
+    EXPECT_EQ(eq.now(), 2u);
+    EXPECT_EQ(eq.runWindow(5), 2u);
+    EXPECT_EQ(eq.now(), 4u);
+    EXPECT_EQ(eq.nextTick(), 5u);
+    EXPECT_EQ(eq.pending(), 5u);
 }
 
 // ---- EventFn / bindEvent ------------------------------------------
@@ -285,23 +273,6 @@ struct Counter
     }
 };
 
-/** Fixed-cadence self-re-arming event (the repeatAfter() idiom). */
-struct Repeater
-{
-    EventQueue *eq;
-    int fires = 0;
-    Cycle last_fire = 0;
-
-    void
-    tick()
-    {
-        ++fires;
-        last_fire = eq->now();
-        if (fires < 3)
-            eq->repeatAfter(10);
-    }
-};
-
 } // namespace bind_test
 
 TEST(EventFn, BindEventPassesBoundArguments)
@@ -331,44 +302,6 @@ TEST(EventFn, BindEventFitsThisPlusThreeWords)
     eq.run();
     EXPECT_EQ(c.calls, 1);
     EXPECT_EQ(c.last, 7);
-}
-
-TEST(EventQueue, RepeatAfterReArmsTheFiringEvent)
-{
-    EventQueue eq;
-    bind_test::Repeater r{&eq};
-    eq.schedule(5, bindEvent<&bind_test::Repeater::tick>(&r));
-    eq.run();
-    EXPECT_EQ(r.fires, 3);
-    EXPECT_EQ(r.last_fire, 25u);  // 5, 15, 25
-    EXPECT_EQ(eq.executed(), 3u);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, RepeatAfterKeepsSchedulingOrderAtEqualTicks)
-{
-    // A re-armed event claims its sequence number at the repeatAfter()
-    // call, so an event scheduled later for the same tick fires after
-    // it — byte-identical to a fresh scheduleAfter().
-    EventQueue eq;
-    std::vector<int> order;
-    bind_test::Repeater r{&eq};
-    eq.schedule(5, bindEvent<&bind_test::Repeater::tick>(&r));
-    eq.schedule(5, [&] {
-        order.push_back(0);
-        eq.schedule(15, [&] { order.push_back(1); });
-    });
-    eq.run();
-    // Tick 15: the re-armed repeater (seq claimed at t=5) precedes the
-    // callback scheduled at t=5 after it.
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(r.fires, 3);
-}
-
-TEST(EventQueueDeathTest, RepeatAfterOutsideCallbackIsFatal)
-{
-    EventQueue eq;
-    EXPECT_DEATH(eq.repeatAfter(1), "repeatAfter outside a callback");
 }
 
 } // namespace
