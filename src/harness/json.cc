@@ -62,50 +62,66 @@ formatDouble(double v)
 bool
 Value::asBool() const
 {
-    carve_assert(kind_ == Kind::Bool);
-    return bool_;
+    carve_assert(kind() == Kind::Bool);
+    return std::get<bool>(v_);
 }
 
 std::int64_t
 Value::asInt() const
 {
-    carve_assert(kind_ == Kind::Int);
-    return int_;
+    carve_assert(kind() == Kind::Int);
+    return std::get<std::int64_t>(v_);
 }
 
 double
 Value::asDouble() const
 {
     carve_assert(isNumber());
-    return kind_ == Kind::Int ? static_cast<double>(int_) : dbl_;
+    return kind() == Kind::Int
+               ? static_cast<double>(std::get<std::int64_t>(v_))
+               : std::get<double>(v_);
 }
 
 const std::string &
 Value::asString() const
 {
-    carve_assert(kind_ == Kind::String);
-    return str_;
+    carve_assert(kind() == Kind::String);
+    return std::get<std::string>(v_);
 }
 
 const Array &
-Value::asArray() const
+Value::asArray() const &
 {
-    carve_assert(kind_ == Kind::Array);
-    return arr_;
+    carve_assert(kind() == Kind::Array);
+    return std::get<Array>(v_);
 }
 
 const Members &
-Value::asObject() const
+Value::asObject() const &
 {
-    carve_assert(kind_ == Kind::Object);
-    return obj_;
+    carve_assert(kind() == Kind::Object);
+    return std::get<Members>(v_);
+}
+
+Array
+Value::asArray() &&
+{
+    carve_assert(kind() == Kind::Array);
+    return std::move(std::get<Array>(v_));
+}
+
+Members
+Value::asObject() &&
+{
+    carve_assert(kind() == Kind::Object);
+    return std::move(std::get<Members>(v_));
 }
 
 const Value &
-Value::at(const std::string &key) const
+Value::at(const std::string &key) const &
 {
-    if (kind_ == Kind::Object) {
-        for (const auto &[k, v] : obj_) {
+    if (const Members *obj = std::get_if<Members>(&v_)) {
+        for (const auto &[k, v] : *obj) {
             if (k == key)
                 return v;
         }
@@ -113,26 +129,40 @@ Value::at(const std::string &key) const
     return null_value;
 }
 
+Value
+Value::at(const std::string &key) &&
+{
+    if (Members *obj = std::get_if<Members>(&v_)) {
+        for (auto &[k, v] : *obj) {
+            if (k == key)
+                return std::move(v);
+        }
+    }
+    return Value();
+}
+
 bool
 Value::has(const std::string &key) const
 {
-    return kind_ == Kind::Object && !at(key).isNull();
+    return isObject() && !at(key).isNull();
 }
 
 void
 Value::set(std::string key, Value v)
 {
-    carve_assert(kind_ == Kind::Object || kind_ == Kind::Null);
-    kind_ = Kind::Object;
-    obj_.emplace_back(std::move(key), std::move(v));
+    carve_assert(kind() == Kind::Object || kind() == Kind::Null);
+    if (isNull())
+        v_.emplace<Members>();
+    std::get<Members>(v_).emplace_back(std::move(key), std::move(v));
 }
 
 void
 Value::push(Value v)
 {
-    carve_assert(kind_ == Kind::Array || kind_ == Kind::Null);
-    kind_ = Kind::Array;
-    arr_.push_back(std::move(v));
+    carve_assert(kind() == Kind::Array || kind() == Kind::Null);
+    if (isNull())
+        v_.emplace<Array>();
+    std::get<Array>(v_).push_back(std::move(v));
 }
 
 void
@@ -145,58 +175,62 @@ Value::dumpTo(std::string &out, unsigned indent, unsigned depth) const
         out.append(static_cast<std::size_t>(indent) * d, ' ');
     };
 
-    switch (kind_) {
+    switch (kind()) {
       case Kind::Null:
         out += "null";
         break;
       case Kind::Bool:
-        out += bool_ ? "true" : "false";
+        out += std::get<bool>(v_) ? "true" : "false";
         break;
       case Kind::Int: {
         char buf[24];
-        const auto res =
-            std::to_chars(buf, buf + sizeof(buf), int_);
+        const auto res = std::to_chars(buf, buf + sizeof(buf),
+                                       std::get<std::int64_t>(v_));
         out.append(buf, res.ptr);
         break;
       }
       case Kind::Double:
-        out += formatDouble(dbl_);
+        out += formatDouble(std::get<double>(v_));
         break;
       case Kind::String:
-        appendEscaped(out, str_);
+        appendEscaped(out, std::get<std::string>(v_));
         break;
-      case Kind::Array:
-        if (arr_.empty()) {
+      case Kind::Array: {
+        const Array &arr = std::get<Array>(v_);
+        if (arr.empty()) {
             out += "[]";
             break;
         }
         out += '[';
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
+        for (std::size_t i = 0; i < arr.size(); ++i) {
             if (i)
                 out += ',';
             newline(depth + 1);
-            arr_[i].dumpTo(out, indent, depth + 1);
+            arr[i].dumpTo(out, indent, depth + 1);
         }
         newline(depth);
         out += ']';
         break;
-      case Kind::Object:
-        if (obj_.empty()) {
+      }
+      case Kind::Object: {
+        const Members &obj = std::get<Members>(v_);
+        if (obj.empty()) {
             out += "{}";
             break;
         }
         out += '{';
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
+        for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i)
                 out += ',';
             newline(depth + 1);
-            appendEscaped(out, obj_[i].first);
+            appendEscaped(out, obj[i].first);
             out += indent ? ": " : ":";
-            obj_[i].second.dumpTo(out, indent, depth + 1);
+            obj[i].second.dumpTo(out, indent, depth + 1);
         }
         newline(depth);
         out += '}';
         break;
+      }
     }
 }
 
@@ -284,8 +318,15 @@ class Parser
         skipWs();
         const char c = peek();
         switch (c) {
-          case '{': return object();
-          case '[': return array();
+          case '{':
+          case '[': {
+            // Bounded, so hostile input cannot exhaust the stack.
+            if (++depth_ > kMaxDepth)
+                fail("nesting too deep");
+            Value v = c == '{' ? object() : array();
+            --depth_;
+            return v;
+          }
           case '"': return Value(string());
           case 't':
             if (!consumeLiteral("true"))
@@ -366,18 +407,20 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the closing quote or the next escape
+            // in one append.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"' &&
+                   text_[pos_] != '\\')
+                ++pos_;
+            out.append(text_, run, pos_ - run);
             if (pos_ >= text_.size())
                 fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
+            if (text_[pos_++] == '"')
                 return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 fail("unterminated escape");
-            c = text_[pos_++];
+            const char c = text_[pos_++];
             switch (c) {
               case '"': out += '"'; break;
               case '\\': out += '\\'; break;
@@ -463,6 +506,7 @@ class Parser
     const std::string &text_;
     const std::string &what_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 } // namespace

@@ -2,23 +2,41 @@
  * @file
  * Minimal JSON document model for the experiment harness: enough to
  * write sweep results deterministically and read them back for
- * baseline comparison. Not a general-purpose library — no comments,
- * no \u escapes beyond pass-through, objects keep insertion order so
- * serialisation is byte-stable.
+ * baseline comparison. Not a general-purpose library: no comments,
+ * and objects keep insertion order so serialisation is byte-stable.
+ *
+ * A Value holds only its active alternative (a tagged std::variant),
+ * so a number or null costs no string or vector. The parser decodes
+ * \u escapes of the Basic Multilingual Plane into UTF-8 (dump() writes
+ * \u only for control characters), copies each escape-free run of a
+ * string in one append, and fails cleanly once arrays and objects
+ * nest deeper than kMaxDepth, so hostile input cannot exhaust the
+ * stack. A caller that owns its document can move parts out of it:
+ * on an expiring Value (`std::move(doc).at("k")`, `.asObject()`,
+ * `.asArray()`) the accessors return by value, moving the payload
+ * instead of referencing it, which is how the record loaders avoid
+ * copying thousands of stat names.
  */
 
 #ifndef CARVE_HARNESS_JSON_HH
 #define CARVE_HARNESS_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace carve {
 namespace json {
 
 class Value;
+
+/** Arrays and objects nested deeper than this fail to parse. A
+ * results file nests 5 deep. */
+inline constexpr unsigned kMaxDepth = 256;
 
 /** Insertion-ordered key/value list (JSON objects). */
 using Members = std::vector<std::pair<std::string, Value>>;
@@ -28,6 +46,8 @@ using Array = std::vector<Value>;
 class Value
 {
   public:
+    /** Alternatives in the order of the variant below (checked by
+     * static_assert): kind() is the active index. */
     enum class Kind : std::uint8_t {
         Null,
         Bool,
@@ -38,42 +58,44 @@ class Value
         Object,
     };
 
-    Value() : kind_(Kind::Null) {}
-    Value(std::nullptr_t) : kind_(Kind::Null) {}
-    Value(bool b) : kind_(Kind::Bool), bool_(b) {}
-    Value(std::int64_t v) : kind_(Kind::Int), int_(v) {}
-    Value(std::uint64_t v)
-        : kind_(Kind::Int), int_(static_cast<std::int64_t>(v))
-    {
-    }
-    Value(int v) : kind_(Kind::Int), int_(v) {}
-    Value(unsigned v) : kind_(Kind::Int), int_(v) {}
-    Value(double v) : kind_(Kind::Double), dbl_(v) {}
-    Value(const char *s) : kind_(Kind::String), str_(s) {}
-    Value(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
-    Value(Array a) : kind_(Kind::Array), arr_(std::move(a)) {}
-    Value(Members m) : kind_(Kind::Object), obj_(std::move(m)) {}
+    Value() = default;
+    Value(std::nullptr_t) {}
+    Value(bool b) : v_(b) {}
+    Value(std::int64_t v) : v_(v) {}
+    Value(std::uint64_t v) : v_(static_cast<std::int64_t>(v)) {}
+    Value(int v) : v_(std::int64_t{v}) {}
+    Value(unsigned v) : v_(std::int64_t{v}) {}
+    Value(double v) : v_(v) {}
+    Value(const char *s) : v_(std::in_place_type<std::string>, s) {}
+    Value(std::string s) : v_(std::move(s)) {}
+    Value(Array a) : v_(std::move(a)) {}
+    Value(Members m) : v_(std::move(m)) {}
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
+    Kind kind() const { return static_cast<Kind>(v_.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isObject() const { return kind() == Kind::Object; }
+    bool isArray() const { return kind() == Kind::Array; }
     bool isNumber() const
     {
-        return kind_ == Kind::Int || kind_ == Kind::Double;
+        return kind() == Kind::Int || kind() == Kind::Double;
     }
-    bool isString() const { return kind_ == Kind::String; }
+    bool isString() const { return kind() == Kind::String; }
 
     /** Typed accessors; wrong-kind access is a caller bug (asserted). */
     bool asBool() const;
     std::int64_t asInt() const;
     double asDouble() const;   ///< Int converts implicitly
     const std::string &asString() const;
-    const Array &asArray() const;
-    const Members &asObject() const;
+    const Array &asArray() const &;
+    const Members &asObject() const &;
+    /** On an expiring Value: move the elements/members out. */
+    Array asArray() &&;
+    Members asObject() &&;
 
     /** Object member by key, or null Value when absent/non-object. */
-    const Value &at(const std::string &key) const;
+    const Value &at(const std::string &key) const &;
+    /** On an expiring Value: move that member out. */
+    Value at(const std::string &key) &&;
     /** True when this is an object containing @p key. */
     bool has(const std::string &key) const;
 
@@ -93,18 +115,29 @@ class Value
     void dumpTo(std::string &out, unsigned indent,
                 unsigned depth) const;
 
-    Kind kind_;
-    bool bool_ = false;
-    std::int64_t int_ = 0;
-    double dbl_ = 0.0;
-    std::string str_;
-    Array arr_;
-    Members obj_;
+    using Storage = std::variant<std::monostate, bool, std::int64_t,
+                                 double, std::string, Array, Members>;
+    Storage v_;
+
+    // kind() is v_.index(): every alternative must sit at its Kind.
+    template <Kind K>
+    using Alt =
+        std::variant_alternative_t<static_cast<std::size_t>(K), Storage>;
+    static_assert(std::variant_size_v<Storage> ==
+                  static_cast<std::size_t>(Kind::Object) + 1);
+    static_assert(std::is_same_v<Alt<Kind::Null>, std::monostate>);
+    static_assert(std::is_same_v<Alt<Kind::Bool>, bool>);
+    static_assert(std::is_same_v<Alt<Kind::Int>, std::int64_t>);
+    static_assert(std::is_same_v<Alt<Kind::Double>, double>);
+    static_assert(std::is_same_v<Alt<Kind::String>, std::string>);
+    static_assert(std::is_same_v<Alt<Kind::Array>, Array>);
+    static_assert(std::is_same_v<Alt<Kind::Object>, Members>);
 };
 
 /**
- * Parse a JSON document. fatal() on malformed input, with @p what
- * naming the source (file name) in the message.
+ * Parse a JSON document. fatal() on malformed input or nesting
+ * deeper than kMaxDepth, with @p what naming the source (file name)
+ * in the message.
  */
 Value parse(const std::string &text, const std::string &what = "json");
 

@@ -162,7 +162,7 @@ resultToJson(const RunResult &r)
 }
 
 RunResult
-resultFromJson(const json::Value &v)
+resultFromJson(json::Value v)
 {
     if (!v.isObject())
         fatal("results: run record is not a JSON object");
@@ -205,7 +205,7 @@ resultFromJson(const json::Value &v)
     r.sim.total_page_footprint = u64At(s, "total_page_footprint");
     r.sim.watchdog_tripped = r.status == RunStatus::Watchdog;
     if (v.has("stat_tree"))
-        r.sim.stat_tree = statTreeFromJson(v.at("stat_tree"));
+        r.sim.stat_tree = statTreeFromJson(std::move(v).at("stat_tree"));
     return r;
 }
 
@@ -273,13 +273,15 @@ readResultsFile(const std::string &path)
 }
 
 std::vector<RunResult>
-resultsFromJson(const json::Value &doc)
+resultsFromJson(json::Value doc)
 {
     if (!doc.at("runs").isArray())
         fatal("results: document has no 'runs' array");
+    json::Array runs = std::move(doc).at("runs").asArray();
     std::vector<RunResult> out;
-    for (const auto &r : doc.at("runs").asArray())
-        out.push_back(resultFromJson(r));
+    out.reserve(runs.size());
+    for (auto &r : runs)
+        out.push_back(resultFromJson(std::move(r)));
     return out;
 }
 

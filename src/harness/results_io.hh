@@ -63,8 +63,10 @@ std::string gitDescribe();
 
 /** Serialise one run (no wall time — see file comment). */
 json::Value resultToJson(const RunResult &r);
-/** Inverse of resultToJson (stats subset needed for comparison). */
-RunResult resultFromJson(const json::Value &v);
+/** Inverse of resultToJson (stats subset needed for comparison).
+ * Takes @p v by value: a caller that moves its record in has the stat
+ * names moved out of it instead of copied. */
+RunResult resultFromJson(json::Value v);
 
 /** Whole-file document for a finished sweep. */
 json::Value sweepToJson(const SweepMeta &meta,
@@ -77,8 +79,9 @@ void writeResultsFile(const std::string &path,
 /** Parse a results file; fatal on I/O, parse or schema mismatch. */
 json::Value readResultsFile(const std::string &path);
 
-/** Extract the run records of a parsed results file. */
-std::vector<RunResult> resultsFromJson(const json::Value &doc);
+/** Extract the run records of a parsed results file, moving them
+ * out of @p doc. */
+std::vector<RunResult> resultsFromJson(json::Value doc);
 
 /** One metric movement found by compareResults(). */
 struct MetricDelta

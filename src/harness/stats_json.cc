@@ -6,14 +6,15 @@ namespace harness {
 json::Value
 statTreeToJson(const std::vector<stats::FlatStat> &flat)
 {
-    json::Value o{json::Members{}};
+    json::Members members;
+    members.reserve(flat.size());
     for (const auto &f : flat) {
         if (f.integral)
-            o.set(f.name, f.u64);
+            members.emplace_back(f.name, f.u64);
         else
-            o.set(f.name, f.dbl);
+            members.emplace_back(f.name, f.dbl);
     }
-    return o;
+    return json::Value(std::move(members));
 }
 
 json::Value
@@ -23,12 +24,14 @@ statGroupToJson(const stats::StatGroup &root)
 }
 
 std::vector<stats::FlatStat>
-statTreeFromJson(const json::Value &v)
+statTreeFromJson(json::Value v)
 {
+    json::Members members = std::move(v).asObject();
     std::vector<stats::FlatStat> out;
-    for (const auto &[name, value] : v.asObject()) {
-        stats::FlatStat f;
-        f.name = name;
+    out.reserve(members.size());
+    for (auto &[name, value] : members) {
+        stats::FlatStat &f = out.emplace_back();
+        f.name = std::move(name);
         if (value.kind() == json::Value::Kind::Int) {
             f.integral = true;
             f.u64 = static_cast<std::uint64_t>(value.asInt());
@@ -36,7 +39,6 @@ statTreeFromJson(const json::Value &v)
             f.integral = false;
             f.dbl = value.asDouble();
         }
-        out.push_back(std::move(f));
     }
     return out;
 }

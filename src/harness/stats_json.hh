@@ -27,8 +27,10 @@ json::Value statTreeToJson(const std::vector<stats::FlatStat> &flat);
 /** Render a whole registry (flatten + statTreeToJson). */
 json::Value statGroupToJson(const stats::StatGroup &root);
 
-/** Inverse of statTreeToJson. */
-std::vector<stats::FlatStat> statTreeFromJson(const json::Value &v);
+/** Inverse of statTreeToJson. Takes @p v by value and moves each
+ * stat name out of it, so a caller that moves its tree in copies no
+ * names. */
+std::vector<stats::FlatStat> statTreeFromJson(json::Value v);
 
 } // namespace harness
 } // namespace carve

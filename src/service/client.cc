@@ -125,7 +125,7 @@ Client::result(const std::string &id, EventFn on_event)
     req.set("id", id);
     req.set("wait", true);
     req.set("events", static_cast<bool>(on_event));
-    const json::Value resp = request(req, std::move(on_event));
+    json::Value resp = request(req, std::move(on_event));
 
     ResultReply out;
     if (resp.isNull()) {
@@ -153,7 +153,7 @@ Client::result(const std::string &id, EventFn on_event)
     out.record_json = resp.at("run").dump(0);
     try {
         ScopedErrorCapture capture;
-        out.run = harness::resultFromJson(resp.at("run"));
+        out.run = harness::resultFromJson(std::move(resp).at("run"));
     } catch (const std::exception &e) {
         out.ok = false;
         out.error = std::string("bad run record: ") + e.what();

@@ -413,6 +413,7 @@ Server::handleResult(const json::Value &req, Conn *conn)
         req.at("events").asBool();
 
     std::shared_ptr<Job> job;
+    json::Value o{json::Members{}};
     {
         std::unique_lock lock(mu_);
         const auto it = jobs_.find(id);
@@ -453,37 +454,37 @@ Server::handleResult(const json::Value &req, Conn *conn)
                 break;
             cv_.wait(lock);
         }
-    }
 
-    std::lock_guard lock(mu_);
-    if (job->state == JobState::Cancelled) {
-        json::Value o = errorResponse("result", "job was cancelled");
-        o.set("id", id);
-        o.set("state", jobStateName(job->state));
-        return o;
-    }
-    json::Value o{json::Members{}};
-    o.set("ok", true);
-    o.set("op", "result");
-    o.set("id", id);
-    o.set("state", jobStateName(job->state));
-    if (job->state == JobState::Done) {
-        o.set("cached", job->cached);
-        o.set("wall_seconds", job->wall_seconds);
-        // Embed the stored record verbatim (parse of our own dump is
-        // lossless, so the client sees byte-identical record dumps
-        // for cached and fresh results). A corrupted on-disk cache
-        // entry must fail this one request, not the daemon.
-        try {
-            ScopedErrorCapture capture;
-            o.set("run", json::parse(job->record, "stored record"));
-        } catch (const std::exception &e) {
-            json::Value err = errorResponse(
-                "result",
-                std::string("stored record unreadable: ") + e.what());
+        if (job->state == JobState::Cancelled) {
+            json::Value err =
+                errorResponse("result", "job was cancelled");
             err.set("id", id);
+            err.set("state", jobStateName(job->state));
             return err;
         }
+        o.set("ok", true);
+        o.set("op", "result");
+        o.set("id", id);
+        o.set("state", jobStateName(job->state));
+        if (job->state != JobState::Done)
+            return o;
+        o.set("cached", job->cached);
+        o.set("wall_seconds", job->wall_seconds);
+    }
+    // A Done job's record never changes again, so it is parsed
+    // without the registry lock. Embed it verbatim (parse of our own
+    // dump is lossless, so the client sees byte-identical record
+    // dumps for cached and fresh results). A corrupted on-disk cache
+    // entry must fail this one request, not the daemon.
+    try {
+        ScopedErrorCapture capture;
+        o.set("run", json::parse(job->record, "stored record"));
+    } catch (const std::exception &e) {
+        json::Value err = errorResponse(
+            "result",
+            std::string("stored record unreadable: ") + e.what());
+        err.set("id", id);
+        return err;
     }
     return o;
 }

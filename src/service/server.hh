@@ -114,7 +114,9 @@ class Server
         JobState state = JobState::Queued;
         /** Served without simulating (registry or disk). */
         bool cached = false;
-        /** resultToJson().dump(0) of the finished run. */
+        /** resultToJson().dump(0) of the finished run. Written under
+         * mu_ before state becomes Done and never after, so a reader
+         * that saw Done under mu_ may read it without the lock. */
         std::string record;
         double wall_seconds = 0.0;
         bool run_ok = false;

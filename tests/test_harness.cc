@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "harness/json.hh"
@@ -93,6 +97,91 @@ TEST_F(HarnessTest, JsonParseErrorsAreCatchable)
     EXPECT_THROW(json::parse("{\"a\": }", "bad"), SimAbortError);
     EXPECT_THROW(json::parse("[1, 2", "bad"), SimAbortError);
     EXPECT_THROW(json::parse("true false", "bad"), SimAbortError);
+}
+
+TEST_F(HarnessTest, DeeplyNestedInputFailsCleanly)
+{
+    ScopedErrorCapture capture;
+    // Unbounded recursion used to overflow the stack on this line.
+    EXPECT_THROW(json::parse(std::string(100'000, '['), "deep"),
+                 SimAbortError);
+
+    const auto nested = [](unsigned depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(json::parse(nested(json::kMaxDepth), "deep").isArray());
+    try {
+        json::parse(nested(json::kMaxDepth + 1), "deep");
+        ADD_FAILURE() << "nesting past kMaxDepth parsed";
+    } catch (const SimAbortError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "offset 256: nesting too deep"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Objects count toward the same limit.
+    std::string objects;
+    for (unsigned i = 0; i <= json::kMaxDepth; ++i)
+        objects += "{\"k\":";
+    objects += "1" + std::string(json::kMaxDepth + 1, '}');
+    EXPECT_THROW(json::parse(objects, "deep"), SimAbortError);
+}
+
+TEST_F(HarnessTest, StringEscapesRoundTrip)
+{
+    // Escapes at either end, back to back and between long runs, and
+    // every character class dump() escapes or passes through.
+    const std::vector<std::string> strings = {
+        "",
+        "plain",
+        "\"",
+        "\\",
+        "\"quoted\"",
+        "a\\b\\\\c",
+        "line\nfeed\r\ttab\n",
+        std::string("nul\0byte", 8),
+        "\x01\x1f",
+        "caf\xc3\xa9 \xe4\xb8\xad",
+        std::string(100, 'x') + "\n" + std::string(100, 'y'),
+    };
+    json::Value arr{json::Array{}};
+    for (const auto &str : strings)
+        arr.push(str);
+    const std::string text = arr.dump(0);
+    const json::Value back = json::parse(text, "esc");
+    ASSERT_EQ(back.asArray().size(), strings.size());
+    for (std::size_t i = 0; i < strings.size(); ++i)
+        EXPECT_EQ(back.asArray()[i].asString(), strings[i]) << i;
+    EXPECT_EQ(back.dump(0), text);
+
+    // \u escapes decode to UTF-8; '/' and the short escapes decode too.
+    const json::Value u = json::parse(
+        R"(["\u0041\u00e9\u4e2d", "a\/b", "\b\f", "x\u001Fy"])", "u");
+    EXPECT_EQ(u.asArray()[0].asString(), "A\xc3\xa9\xe4\xb8\xad");
+    EXPECT_EQ(u.asArray()[1].asString(), "a/b");
+    EXPECT_EQ(u.asArray()[2].asString(), "\b\f");
+    EXPECT_EQ(u.asArray()[3].asString(), "x\x1fy");
+    EXPECT_EQ(json::parse(u.dump(0), "u").dump(0), u.dump(0));
+
+    // Malformed strings name the offset and the reason.
+    ScopedErrorCapture capture;
+    const std::pair<const char *, const char *> bad[] = {
+        {"\"abc", "offset 4: unterminated string"},
+        {"\"ab\\", "offset 4: unterminated escape"},
+        {"\"\\q\"", "offset 3: bad escape character"},
+        {"\"\\u12G4\"", "offset 6: bad \\u escape"},
+        {"\"\\u12", "offset 3: bad \\u escape"},
+    };
+    for (const auto &[input, message] : bad) {
+        try {
+            json::parse(input, "bad");
+            ADD_FAILURE() << input << " parsed";
+        } catch (const SimAbortError &e) {
+            EXPECT_NE(std::string(e.what()).find(message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST_F(HarnessTest, PresetNameParsing)
@@ -480,6 +569,78 @@ TEST_F(HarnessTest, V1FilesWithoutStatTreesStillParse)
     ASSERT_EQ(back.size(), 1u);
     EXPECT_EQ(back[0].sim.cycles, r.sim.cycles);
     EXPECT_TRUE(back[0].sim.stat_tree.empty());
+}
+
+// ---- record codec on real records ----------------------------------
+
+/** Every member resultFromJson() restores, compared exactly. */
+void
+expectSameRun(const RunResult &a, const RunResult &b)
+{
+    EXPECT_EQ(resultToJson(a).dump(0), resultToJson(b).dump(0));
+    EXPECT_EQ(a.sim.preset, b.sim.preset);
+    EXPECT_EQ(a.sim.workload, b.sim.workload);
+    EXPECT_EQ(a.sim.watchdog_tripped, b.sim.watchdog_tripped);
+    const auto &at = a.sim.stat_tree;
+    const auto &bt = b.sim.stat_tree;
+    ASSERT_EQ(at.size(), bt.size());
+    for (std::size_t i = 0; i < at.size(); ++i) {
+        EXPECT_EQ(at[i].name, bt[i].name);
+        EXPECT_EQ(at[i].integral, bt[i].integral) << at[i].name;
+        EXPECT_EQ(at[i].u64, bt[i].u64) << at[i].name;
+        EXPECT_EQ(std::memcmp(&at[i].dbl, &bt[i].dbl, sizeof(double)),
+                  0)
+            << at[i].name;
+    }
+}
+
+TEST_F(HarnessTest, RecordCodecIsExactOnRealRecords)
+{
+    // A small 4-GPU job, and a second run for a two-run document.
+    const RunResult r1 = executeRun(miniSpec(Preset::CarveHwc, "codec"));
+    const RunResult r2 =
+        executeRun(miniSpec(Preset::NumaGpu, "codec", 7));
+    ASSERT_EQ(r1.status, RunStatus::Ok);
+    ASSERT_EQ(r2.status, RunStatus::Ok);
+    ASSERT_EQ(miniConfig().num_gpus, 4u);
+    ASSERT_FALSE(r1.sim.stat_tree.empty());
+
+    // One record, in the form the service and its cache store.
+    const std::string record = resultToJson(r1).dump(0);
+    EXPECT_EQ(json::parse(record, "record").dump(0), record);
+    const json::Value kept = json::parse(record, "record");
+    const RunResult copied = resultFromJson(kept);
+    const RunResult moved = resultFromJson(json::parse(record, "record"));
+    expectSameRun(copied, moved);
+    EXPECT_EQ(resultToJson(moved).dump(0), record);
+    EXPECT_EQ(kept.dump(0), record) << "loading a copy moved from it";
+
+    // A two-run results document, pretty and compact.
+    SweepMeta meta;
+    meta.git_version = "test";
+    const std::string doc_text = sweepToJson(meta, {r1, r2}).dump();
+    const json::Value doc = json::parse(doc_text, "doc");
+    EXPECT_EQ(doc.dump(), doc_text);
+    const std::string compact = doc.dump(0);
+    EXPECT_EQ(json::parse(compact, "doc").dump(0), compact);
+    const auto runs = resultsFromJson(json::parse(doc_text, "doc"));
+    ASSERT_EQ(runs.size(), 2u);
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        expectSameRun(resultFromJson(doc.at("runs").asArray()[i]),
+                      runs[i]);
+    expectSameRun(runs[0], moved);
+
+    // A stored record or results file cut short at any 1 KiB
+    // boundary must fail to parse, never load a partial tree.
+    ScopedErrorCapture capture;
+    for (const std::string *text : {&record, &doc_text}) {
+        const std::size_t last = text->rfind('}');
+        for (std::size_t cut = 1024; cut <= last; cut += 1024) {
+            EXPECT_THROW(json::parse(text->substr(0, cut), "cut"),
+                         SimAbortError)
+                << cut;
+        }
+    }
 }
 
 } // namespace

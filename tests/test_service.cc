@@ -393,6 +393,91 @@ TEST_F(ServiceTest, ServerHandlesFailedRunsAndBadRequests)
     serving.join();
 }
 
+TEST_F(ServiceTest, DeeplyNestedRequestLeavesTheServerUp)
+{
+    const std::string dir = scratchDir("svc-deep");
+    Server::Options opt;
+    opt.socket_path = dir + "/s.sock";
+    opt.threads = 1;
+    opt.cache_dir = dir + "/cache";
+    opt.quiet = true;
+
+    Server server(opt);
+    std::jthread serving([&] { server.serve(); });
+    ASSERT_TRUE(connectRetry(opt.socket_path).has_value());
+
+    // This line used to overflow the parser's stack and kill the
+    // daemon (SIGSEGV); now it is one malformed request.
+    LineChannel raw = connectUnix(opt.socket_path);
+    ASSERT_TRUE(raw.valid());
+    ASSERT_TRUE(raw.writeLine(std::string(100'000, '[')));
+    std::string line;
+    ASSERT_TRUE(raw.readLine(line));
+    const json::Value resp = json::parse(line, "response");
+    EXPECT_FALSE(resp.at("ok").asBool());
+    EXPECT_NE(resp.at("error").asString().find("nesting too deep"),
+              std::string::npos)
+        << line;
+
+    // A new connection still gets an answer to ping.
+    EXPECT_TRUE(Client::connect(opt.socket_path).has_value());
+
+    server.requestDrain();
+    serving.join();
+}
+
+TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
+{
+    const std::string dir = scratchDir("svc-trunc");
+    Server::Options opt;
+    opt.socket_path = dir + "/s.sock";
+    opt.threads = 1;
+    opt.cache_dir = dir + "/cache";
+    opt.quiet = true;
+    const JobSpec job = miniJob();
+
+    {
+        Server server(opt);
+        std::jthread serving([&] { server.serve(); });
+        auto client = connectRetry(opt.socket_path);
+        ASSERT_TRUE(client.has_value());
+        const SubmitReply s = client->submit(job);
+        ASSERT_TRUE(s.ok) << s.error;
+        const ResultReply r = client->result(s.id);
+        ASSERT_TRUE(r.ok) << r.error;
+        server.requestDrain();
+        serving.join();
+    }
+
+    // Cut the stored record in half, as a full disk or a crash in a
+    // copy of the cache directory might.
+    const std::string entry =
+        opt.cache_dir + "/" + jobKey(job) + ".json";
+    ASSERT_TRUE(std::filesystem::exists(entry));
+    std::filesystem::resize_file(entry,
+                                 std::filesystem::file_size(entry) / 2);
+
+    Server server(opt);
+    std::jthread serving([&] { server.serve(); });
+    auto client = connectRetry(opt.socket_path);
+    ASSERT_TRUE(client.has_value());
+    const SubmitReply s = client->submit(job);
+    ASSERT_TRUE(s.ok) << s.error;
+    EXPECT_TRUE(s.cached) << "the disk cache answers the restart";
+    const ResultReply r = client->result(s.id);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("stored record unreadable"),
+              std::string::npos)
+        << r.error;
+
+    // The daemon keeps answering, here and on a new connection.
+    EXPECT_TRUE(client->stats().at("ok").asBool());
+    EXPECT_TRUE(Client::connect(opt.socket_path).has_value());
+
+    server.requestDrain();
+    serving.join();
+}
+
 TEST_F(ServiceTest, ServerAppliesBackpressureAndCancellation)
 {
     const std::string dir = scratchDir("svc-queue");
