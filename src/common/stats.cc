@@ -51,8 +51,8 @@ StatGroup::checkName(const std::string &name) const
                 return true;
         return false;
     };
-    if (clash(scalars_) || clash(averages_) || clash(distributions_) ||
-        clash(histograms_) || clash(derived_))
+    if (clash(scalars_) || clash(averages_) || clash(histograms_) ||
+        clash(derived_))
         fatal("duplicate stat name '%s' in group '%s'", name.c_str(),
               fullName().c_str());
 }
@@ -71,14 +71,6 @@ StatGroup::addAverage(const std::string &name, Average *a,
 {
     checkName(name);
     averages_.push_back({name, desc, a});
-}
-
-void
-StatGroup::addDistribution(const std::string &name, Distribution *d,
-                           const std::string &desc)
-{
-    checkName(name);
-    distributions_.push_back({name, desc, d});
 }
 
 void
@@ -154,9 +146,6 @@ StatGroup::visit(const Visitor &v) const
     if (v.average)
         for (const auto &a : sorted(averages_))
             v.average(prefix + a.name, *a.stat, a.desc);
-    if (v.distribution)
-        for (const auto &d : sorted(distributions_))
-            v.distribution(prefix + d.name, *d.stat, d.desc);
     if (v.histogram)
         for (const auto &h : sorted(histograms_))
             v.histogram(prefix + h.name, *h.stat, h.desc);
@@ -197,22 +186,6 @@ StatGroup::findAverage(std::string_view dotted) const
     for (const auto *child : children_)
         if (child->name_ == head)
             return child->findAverage(rest);
-    return nullptr;
-}
-
-const Distribution *
-StatGroup::findDistribution(std::string_view dotted) const
-{
-    const auto [head, rest] = splitHead(dotted);
-    if (rest.empty()) {
-        for (const auto &d : distributions_)
-            if (d.name == head)
-                return d.stat;
-        return nullptr;
-    }
-    for (const auto *child : children_)
-        if (child->name_ == head)
-            return child->findDistribution(rest);
     return nullptr;
 }
 
@@ -288,14 +261,6 @@ StatGroup::dump(std::ostream &os) const
             os << "  # " << a.desc;
         os << "\n";
     }
-    for (const auto &d : sorted(distributions_)) {
-        os << prefix << d.name << " = mean " << std::setprecision(6)
-           << d.stat->mean() << ", max " << d.stat->max()
-           << ", n " << d.stat->count();
-        if (!d.desc.empty())
-            os << "  # " << d.desc;
-        os << "\n";
-    }
     for (const auto &h : sorted(histograms_)) {
         os << prefix << h.name << " = p50 " << h.stat->percentile(50)
            << ", p99 " << h.stat->percentile(99) << ", max "
@@ -326,8 +291,6 @@ StatGroup::resetAll()
         s.stat->reset();
     for (auto &a : averages_)
         a.stat->reset();
-    for (auto &d : distributions_)
-        d.stat->reset();
     for (auto &h : histograms_)
         h.stat->reset();
     for (auto *child : children_)
@@ -347,12 +310,6 @@ flattenStats(const StatGroup &root)
                     const std::string &) {
         out.push_back({name + ".count", true, a.count(), 0.0});
         out.push_back({name + ".sum", false, 0, a.sum()});
-    };
-    v.distribution = [&](const std::string &name,
-                         const Distribution &d, const std::string &) {
-        out.push_back({name + ".count", true, d.count(), 0.0});
-        out.push_back({name + ".max", true, d.max(), 0.0});
-        out.push_back({name + ".sum", true, d.sum(), 0.0});
     };
     v.histogram = [&](const std::string &name,
                       const telemetry::Histogram &h,

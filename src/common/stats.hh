@@ -2,9 +2,10 @@
  * @file
  * Named-statistics package and the unified metrics registry.
  *
- * Components own Scalar / Average / Distribution objects and register
- * them into a StatGroup tree rooted at the owning system; groups nest
- * to form dotted names ("gpu0.l2.hits", "link.0.3.bytes"). The tree is
+ * Components own Scalar / Average / telemetry::Histogram objects and
+ * register them into a StatGroup tree rooted at the owning system;
+ * groups nest to form dotted names ("gpu0.l2.hits", "link.0.3.bytes"),
+ * and derived stats compute their values on demand. The tree is
  * the single source of truth for every statistic in the simulator:
  * reporting (collectResult), the sweep JSON writer and the text dump
  * all derive their values from a registry walk instead of poking
@@ -23,7 +24,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -92,86 +92,10 @@ class Average
     std::uint64_t count_ = 0;
 };
 
-/** Fixed-bucket histogram over [0, bucket_width * num_buckets). */
-class Distribution
-{
-  public:
-    /**
-     * @param num_buckets number of equal-width buckets
-     * @param bucket_width width of each bucket
-     */
-    Distribution(unsigned num_buckets = 16,
-                 std::uint64_t bucket_width = 64)
-        : width_(bucket_width ? bucket_width : 1),
-          buckets_(num_buckets ? num_buckets : 1, 0)
-    {
-    }
-
-    /** Record one sample (overflow clamps into the last bucket). */
-    void
-    sample(std::uint64_t v)
-    {
-        std::uint64_t b = v / width_;
-        if (b >= buckets_.size())
-            b = buckets_.size() - 1;
-        ++buckets_[b];
-        ++count_;
-        sum_ += v;
-        if (v > max_)
-            max_ = v;
-    }
-
-    /** Record one floating-point sample; NaN/infinite/negative
-     * samples are dropped (see Average::sample). Constrained so
-     * integer arguments still resolve to the uint64_t overload. */
-    template <typename T,
-              typename = std::enable_if_t<std::is_floating_point_v<T>>>
-    void
-    sample(T v)
-    {
-        if (!std::isfinite(v) || v < 0.0)
-            return;
-        sample(static_cast<std::uint64_t>(v));
-    }
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t max() const { return max_; }
-    std::uint64_t sum() const { return sum_; }
-
-    double
-    mean() const
-    {
-        return count_ == 0
-            ? 0.0
-            : static_cast<double>(sum_) / static_cast<double>(count_);
-    }
-
-    /** Raw bucket counts. */
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-
-    void
-    reset()
-    {
-        for (auto &b : buckets_)
-            b = 0;
-        count_ = 0;
-        sum_ = 0;
-        max_ = 0;
-    }
-
-  private:
-    std::uint64_t width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t max_ = 0;
-};
-
 /**
  * One value of the registry rendered flat: the fully qualified dotted
  * name plus either an exact integer or a double. Averages flatten to
- * two entries ("<name>.count", "<name>.sum"); distributions to three
- * ("<name>.count", "<name>.sum", "<name>.max"); telemetry histograms
+ * two entries ("<name>.count", "<name>.sum"); telemetry histograms
  * to six ("<name>.count", ".max", ".p50", ".p95", ".p99", ".sum"),
  * all exact integers.
  */
@@ -232,9 +156,6 @@ class StatGroup
     /** Register an average under @p name. */
     void addAverage(const std::string &name, Average *a,
                     const std::string &desc = "");
-    /** Register a distribution under @p name. */
-    void addDistribution(const std::string &name, Distribution *d,
-                         const std::string &desc = "");
     /** Register a telemetry log2 histogram under @p name. Rendered
      * with deterministic p50/p95/p99 (see telemetry::Histogram). */
     void addHistogram(const std::string &name,
@@ -258,9 +179,8 @@ class StatGroup
 
     /**
      * Registry walk callbacks. Any member may be empty. Within a
-     * group the walk visits scalars, averages, distributions,
-     * histograms, then derived stats — each kind sorted by name —
-     * and then recurses
+     * group the walk visits scalars, averages, histograms, then
+     * derived stats — each kind sorted by name — and then recurses
      * into children sorted by name, so the visit order is a pure
      * function of the registered names, never of construction order.
      */
@@ -272,10 +192,6 @@ class StatGroup
         std::function<void(const std::string &full_name,
                            const Average &, const std::string &desc)>
             average;
-        std::function<void(const std::string &full_name,
-                           const Distribution &,
-                           const std::string &desc)>
-            distribution;
         std::function<void(const std::string &full_name,
                            const telemetry::Histogram &,
                            const std::string &desc)>
@@ -293,7 +209,6 @@ class StatGroup
      * ("gpu0.l2.hits" on the root). nullptr when absent. */
     const Scalar *findScalar(std::string_view dotted) const;
     const Average *findAverage(std::string_view dotted) const;
-    const Distribution *findDistribution(std::string_view dotted) const;
     const telemetry::Histogram *
     findHistogram(std::string_view dotted) const;
     /** Child group by dotted name; nullptr when absent. */
@@ -335,7 +250,6 @@ class StatGroup
     std::vector<StatGroup *> children_;
     std::vector<Named<Scalar>> scalars_;
     std::vector<Named<Average>> averages_;
-    std::vector<Named<Distribution>> distributions_;
     std::vector<Named<telemetry::Histogram>> histograms_;
     std::vector<NamedDerived> derived_;
 };

@@ -61,13 +61,8 @@ run(const SimJob &job)
 
     std::unique_ptr<trace::Session> session;
     if (opt.trace.enabled) {
-        if (!trace::compiled_in) {
-            warn("tracing requested but this build has "
-                 "CARVE_TRACE=OFF; no trace will be produced");
-        } else {
-            session = std::make_unique<trace::Session>(opt.trace);
-            sys.setTrace(session.get());
-        }
+        session = std::make_unique<trace::Session>(opt.trace);
+        sys.setTrace(session.get());
     }
 
     sys.run(opt.max_cycles, opt.max_wall_seconds);

@@ -17,12 +17,6 @@ statTreeToJson(const std::vector<stats::FlatStat> &flat)
     return json::Value(std::move(members));
 }
 
-json::Value
-statGroupToJson(const stats::StatGroup &root)
-{
-    return statTreeToJson(stats::flattenStats(root));
-}
-
 std::vector<stats::FlatStat>
 statTreeFromJson(json::Value v)
 {

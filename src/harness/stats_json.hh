@@ -24,9 +24,6 @@ namespace harness {
  */
 json::Value statTreeToJson(const std::vector<stats::FlatStat> &flat);
 
-/** Render a whole registry (flatten + statTreeToJson). */
-json::Value statGroupToJson(const stats::StatGroup &root);
-
 /** Inverse of statTreeToJson. Takes @p v by value and moves each
  * stat name out of it, so a caller that moves its tree in copies no
  * names. */

@@ -9,18 +9,6 @@
 namespace carve {
 namespace service {
 
-namespace {
-
-/** Defensive bool member read: absent or ill-typed reads as false. */
-bool
-boolAt(const json::Value &v, const char *key)
-{
-    return v.at(key).kind() == json::Value::Kind::Bool &&
-           v.at(key).asBool();
-}
-
-} // namespace
-
 std::optional<Client>
 Client::connect(const std::string &socket_path)
 {
@@ -39,9 +27,7 @@ Client::connect(const std::string &socket_path)
              socket_path.c_str());
         return std::nullopt;
     }
-    const std::string schema = pong.at("schema").isString()
-                                   ? pong.at("schema").asString()
-                                   : std::string();
+    const std::string schema = stringAt(pong, "schema");
     if (schema != kProtocolSchema) {
         warn("carve-served client: '%s' speaks '%s', this client "
              "speaks '%s'",
@@ -73,13 +59,8 @@ Client::request(const json::Value &req, EventFn on_event)
         }
         if (v.has("event")) {
             if (on_event) {
-                on_event(v.at("event").asString(),
-                         v.at("id").isString()
-                             ? v.at("id").asString()
-                             : std::string(),
-                         v.at("state").isString()
-                             ? v.at("state").asString()
-                             : std::string());
+                on_event(stringAt(v, "event"), stringAt(v, "id"),
+                         stringAt(v, "state"));
             }
             continue;  // progress line; the response follows
         }
@@ -91,28 +72,29 @@ Client::request(const json::Value &req, EventFn on_event)
 SubmitReply
 Client::submit(const JobSpec &spec)
 {
+    SubmitReply out;
+    if (spec.opts.trace.enabled) {
+        out.error = "traced jobs cannot be served: the trace file "
+                    "would be written on the daemon side";
+        return out;
+    }
     json::Value req{json::Members{}};
     req.set("op", "submit");
     req.set("job", jobSpecToJson(spec));
     const json::Value resp = request(req);
 
-    SubmitReply out;
     if (resp.isNull()) {
         out.error = "connection lost";
         return out;
     }
     if (!boolAt(resp, "ok")) {
-        out.error = resp.at("error").isString()
-                        ? resp.at("error").asString()
-                        : "server error";
+        out.error = stringAt(resp, "error", "server error");
         out.retriable = boolAt(resp, "retriable");
         return out;
     }
     out.ok = true;
-    if (resp.at("id").isString())
-        out.id = resp.at("id").asString();
-    if (resp.at("state").isString())
-        out.state = resp.at("state").asString();
+    out.id = stringAt(resp, "id");
+    out.state = stringAt(resp, "state");
     out.cached = boolAt(resp, "cached");
     return out;
 }
@@ -132,13 +114,9 @@ Client::result(const std::string &id, EventFn on_event)
         out.error = "connection lost";
         return out;
     }
-    out.state = resp.at("state").isString()
-                    ? resp.at("state").asString()
-                    : std::string();
+    out.state = stringAt(resp, "state");
     if (!boolAt(resp, "ok")) {
-        out.error = resp.at("error").isString()
-                        ? resp.at("error").asString()
-                        : "server error";
+        out.error = stringAt(resp, "error", "server error");
         return out;
     }
     if (!resp.has("run")) {
@@ -185,25 +163,14 @@ Client::metrics()
     json::Value req{json::Members{}};
     req.set("op", "metrics");
     const json::Value resp = request(req);
-    if (!boolAt(resp, "ok") || !resp.at("text").isString())
-        return std::string();
-    return resp.at("text").asString();
+    return boolAt(resp, "ok") ? stringAt(resp, "text") : std::string();
 }
 
 JobSpec
 jobFromRunSpec(const harness::RunSpec &spec)
 {
-    JobSpec job;
-    job.preset = presetName(spec.preset);
-    job.workload = spec.workload;
-    job.config = spec.base;
-    job.seed = spec.opts.seed;
-    job.max_cycles = spec.opts.max_cycles;
-    job.max_wall_seconds = spec.opts.max_wall_seconds;
-    job.profile_lines = spec.opts.profile_lines;
-    job.audit = spec.opts.audit;
-    job.host_stats = spec.host_stats;
-    return job;
+    return {presetName(spec.preset), spec.workload, spec.base, spec.opts,
+            spec.host_stats};
 }
 
 } // namespace service

@@ -62,7 +62,9 @@ class Client
      */
     static std::optional<Client> connect(const std::string &socket_path);
 
-    /** Submit one job. */
+    /** Submit one job. A traced job (opts.trace.enabled) is refused
+     * here, before anything is sent: its trace file would be written
+     * on the daemon side. */
     SubmitReply submit(const JobSpec &spec);
 
     /**
@@ -93,7 +95,8 @@ class Client
     unsigned server_threads_ = 0;
 };
 
-/** Build the JobSpec equivalent of a harness RunSpec. */
+/** The JobSpec of a harness RunSpec: a member-wise copy with the
+ * preset spelled by presetName(). */
 JobSpec jobFromRunSpec(const harness::RunSpec &spec);
 
 } // namespace service

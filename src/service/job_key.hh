@@ -1,13 +1,16 @@
 /**
  * @file
  * Content-addressed job identity. A job's key is the FNV-1a 64-bit
- * hash of its canonical serialization (jobSpecToJson().dump(0), which
- * fixes member order and sorts configuration keys), rendered as 16
- * lowercase hex digits. Two JobSpecs describing the same simulation
- * hash identically no matter how (or in what order) their configs
- * were assembled; any semantic difference — one override value, a
- * different seed, host-stats on vs off, a bumped kJobSchema — yields
- * a different key. The key doubles as the result-cache file name.
+ * hash of its canonical carve-job/3 serialization
+ * (jobSpecToJson().dump(0), which fixes member order, sorts
+ * configuration keys and folds the engine overrides into the
+ * configuration), rendered as 16 lowercase hex digits. Two JobSpecs
+ * describing the same simulation hash identically no matter how (or
+ * in what order) their configs were assembled or how their engine was
+ * chosen; any semantic difference — one override value, a different
+ * seed, telemetry or host-stats on vs off, a bumped kJobSchema —
+ * yields a different key. The key doubles as the result-cache file
+ * name.
  */
 
 #ifndef CARVE_SERVICE_JOB_KEY_HH

@@ -1,6 +1,5 @@
 #include "service/protocol.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -159,17 +158,28 @@ jobSpecToJson(const JobSpec &spec)
     o.set("preset", spec.preset);
     o.set("workload", workloadToJson(spec.workload));
     // Sorted override keys: the canonical configuration form, so the
-    // dump is independent of how the config was assembled.
+    // dump is independent of how the config was assembled. The
+    // engine overrides win over the config in run(), so they are
+    // folded into it here.
+    SystemConfig base = spec.base;
+    if (spec.opts.engine)
+        base.engine = *spec.opts.engine;
+    if (spec.opts.sim_threads)
+        base.sim_threads = *spec.opts.sim_threads;
     json::Value cfg{json::Members{}};
-    for (const ConfigOverride &ov : spec.config.canonicalOverrides())
+    for (const ConfigOverride &ov : base.canonicalOverrides())
         cfg.set(ov.key, ov.value);
     o.set("config", std::move(cfg));
     json::Value opts{json::Members{}};
-    opts.set("seed", spec.seed);
-    opts.set("max_cycles", spec.max_cycles);
-    opts.set("max_wall_seconds", spec.max_wall_seconds);
-    opts.set("profile_lines", spec.profile_lines);
-    opts.set("audit", spec.audit);
+    opts.set("seed", spec.opts.seed);
+    opts.set("max_cycles", spec.opts.max_cycles);
+    opts.set("max_wall_seconds", spec.opts.max_wall_seconds);
+    opts.set("profile_lines", spec.opts.profile_lines);
+    opts.set("audit", spec.opts.audit);
+    json::Value tel{json::Members{}};
+    tel.set("enabled", spec.opts.telemetry.enabled);
+    tel.set("host_timing", spec.opts.telemetry.host_timing);
+    opts.set("telemetry", std::move(tel));
     opts.set("host_stats", spec.host_stats);
     o.set("options", std::move(opts));
     return o;
@@ -193,17 +203,35 @@ jobSpecFromJson(const json::Value &v)
         if (!value.isString())
             fatal("job: config value for '%s' must be a string",
                   key.c_str());
-        spec.config.applyOverride(key, value.asString());
+        spec.base.applyOverride(key, value.asString());
     }
     const json::Value &opts = require(v, "options", "job");
-    spec.seed = requireU64(opts, "seed", "options");
-    spec.max_cycles = requireU64(opts, "max_cycles", "options");
-    spec.max_wall_seconds =
+    spec.opts.seed = requireU64(opts, "seed", "options");
+    spec.opts.max_cycles = requireU64(opts, "max_cycles", "options");
+    spec.opts.max_wall_seconds =
         requireDouble(opts, "max_wall_seconds", "options");
-    spec.profile_lines = requireBool(opts, "profile_lines", "options");
-    spec.audit = requireBool(opts, "audit", "options");
+    spec.opts.profile_lines =
+        requireBool(opts, "profile_lines", "options");
+    spec.opts.audit = requireBool(opts, "audit", "options");
+    const json::Value &tel = require(opts, "telemetry", "options");
+    spec.opts.telemetry.enabled = requireBool(tel, "enabled", "telemetry");
+    spec.opts.telemetry.host_timing =
+        requireBool(tel, "host_timing", "telemetry");
     spec.host_stats = requireBool(opts, "host_stats", "options");
     return spec;
+}
+
+std::string
+stringAt(const json::Value &v, const char *key, const char *fallback)
+{
+    return v.at(key).isString() ? v.at(key).asString() : fallback;
+}
+
+bool
+boolAt(const json::Value &v, const char *key)
+{
+    return v.at(key).kind() == json::Value::Kind::Bool &&
+           v.at(key).asBool();
 }
 
 json::Value

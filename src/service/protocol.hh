@@ -10,13 +10,13 @@
  * server-pushed progress lines carry an "event" member instead of
  * "ok" and may precede the response to a blocking "result" request.
  *
- * A JobSpec is the protocol's unit of work: one fully-described
- * simulation (preset, complete workload description, complete system
- * configuration as override key/values, run options, seed). Its
- * canonical JSON form — fixed member order, configuration keys sorted
- * — is also the preimage of the content-addressed job key
- * (see job_key.hh), so two JobSpecs that describe the same simulation
- * always serialize to identical bytes.
+ * A JobSpec is the protocol's unit of work: a harness::RunSpec whose
+ * preset is spelled as its presetName() string. Its canonical JSON
+ * form (carve-job/3: fixed member order, configuration keys sorted,
+ * engine overrides folded into the configuration) is also the
+ * preimage of the content-addressed job key (see job_key.hh), so two
+ * JobSpecs that describe the same simulation always serialize to
+ * identical bytes.
  */
 
 #ifndef CARVE_SERVICE_PROTOCOL_HH
@@ -26,6 +26,7 @@
 #include <string>
 
 #include "common/config.hh"
+#include "core/simulator.hh"
 #include "harness/json.hh"
 #include "workloads/synthetic.hh"
 
@@ -43,49 +44,59 @@ inline constexpr const char *kProtocolSchema = "carve-served/1";
  * not the mapping from spec to behaviour). /2: the per-GPU
  * event-domain engine re-timed every simulation, and the config dump
  * grew the engine/sim_threads keys (identical results either way, so
- * both serialize into one cache entry per simulation).
+ * both serialize into one cache entry per simulation). /3: the
+ * options member carries the telemetry switches.
  */
-inline constexpr const char *kJobSchema = "carve-job/2";
+inline constexpr const char *kJobSchema = "carve-job/3";
 
-/** One fully-described simulation request. */
+/**
+ * One fully-described simulation request: the members of a
+ * harness::RunSpec, except that the preset is its presetName() string
+ * ("CARVE-HWC"), resolved by the server.
+ */
 struct JobSpec
 {
-    /** Preset label (exact presetName() form, e.g. "CARVE-HWC"). */
     std::string preset;
-    /** Complete workload description (regions included) — the server
+    /** Complete workload description (regions included): the server
      * never consults the suite tables, so client and server need not
      * agree on them. */
     WorkloadParams workload;
-    /** Base configuration the preset derives from, transmitted as the
-     * full override-registry dump (56 keys, engine/sim_threads
-     * included), so the spec is self-contained. */
-    SystemConfig config;
-
-    /** Run options (the subset that affects results or result bytes). */
-    std::uint64_t seed = 1;
-    std::uint64_t max_cycles = 0;
-    double max_wall_seconds = 0.0;
-    bool profile_lines = false;
-    bool audit = false;
-    /** Append host wall/RSS stats to the stat tree (nondeterministic;
-     * off for byte-reproducible results). Part of the cache key since
-     * it changes the result bytes. */
+    /** Base configuration the preset derives from. */
+    SystemConfig base;
+    /** Run options. Not serialized: tolerate_watchdog (executeRun()
+     * always sets it) and trace (Client::submit() refuses a traced
+     * job, since its trace file would be written daemon-side). */
+    RunOptions opts;
+    /** See harness::RunSpec::host_stats. */
     bool host_stats = true;
 };
 
 /**
- * Canonical JSON form of a JobSpec: fixed member order, configuration
- * serialized via SystemConfig::canonicalOverrides() (sorted by key).
- * Deterministic: equal specs produce identical dump(0) bytes
+ * Canonical JSON form of a JobSpec (carve-job/3): members "schema",
+ * "preset", "workload", "config" (the full override-registry dump,
+ * sorted by key, with a set opts.engine / opts.sim_threads folded
+ * in, so a job has one form however its engine was chosen) and
+ * "options" (seed, max_cycles, max_wall_seconds, profile_lines,
+ * audit, telemetry.{enabled,host_timing}, host_stats), in that
+ * order. Deterministic: equal specs produce identical dump(0) bytes
  * regardless of how their configs were built.
  */
 json::Value jobSpecToJson(const JobSpec &spec);
 
 /**
- * Inverse of jobSpecToJson(). fatal() (capturable) on missing or
- * ill-typed members and on unknown config/region keys.
+ * Inverse of jobSpecToJson() (the engine choice comes back in
+ * base). fatal() (capturable) on missing or ill-typed members and
+ * on unknown config/region keys.
  */
 JobSpec jobSpecFromJson(const json::Value &v);
+
+/** @p v's string member @p key; @p fallback when absent or not a
+ * string (defensive reads of peer messages). */
+std::string stringAt(const json::Value &v, const char *key,
+                     const char *fallback = "");
+
+/** @p v's bool member @p key; false when absent or not a bool. */
+bool boolAt(const json::Value &v, const char *key);
 
 /** Build the uniform failure response {"ok":false,"error":...}. */
 json::Value errorResponse(const std::string &op,

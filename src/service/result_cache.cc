@@ -85,8 +85,7 @@ ResultCache::get(const std::string &key)
     std::ifstream is(path(key), std::ios::binary);
     if (!is) {
         // Entry vanished underneath us (manual delete); forget it.
-        bytes_ -= it->second.bytes;
-        entries_.erase(it);
+        removeLocked(it);
         ++misses_;
         return std::nullopt;
     }
@@ -137,6 +136,24 @@ ResultCache::put(const std::string &key,
 }
 
 void
+ResultCache::erase(const std::string &key)
+{
+    std::lock_guard lock(mu_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end())
+        removeLocked(it);
+}
+
+void
+ResultCache::removeLocked(std::map<std::string, Entry>::iterator it)
+{
+    std::error_code ec;
+    fs::remove(path(it->first), ec);
+    bytes_ -= it->second.bytes;
+    entries_.erase(it);
+}
+
+void
 ResultCache::evictLocked(const std::string &keep)
 {
     if (budget_ == 0)
@@ -153,10 +170,7 @@ ResultCache::evictLocked(const std::string &keep)
         }
         if (victim == entries_.end())
             return;
-        std::error_code ec;
-        fs::remove(path(victim->first), ec);
-        bytes_ -= victim->second.bytes;
-        entries_.erase(victim);
+        removeLocked(victim);
         ++evictions_;
     }
 }

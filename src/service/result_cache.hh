@@ -6,8 +6,8 @@
  * run-record JSON exactly as the server will return it — a cache hit
  * is therefore byte-identical to the run that populated it. Writes
  * go through a temp file + rename so a crashed daemon never leaves a
- * truncated entry behind; unparsable or foreign files in the
- * directory are simply ignored.
+ * truncated entry behind; foreign files in the directory are
+ * ignored, and an entry the server finds unreadable is erase()d.
  *
  * Eviction is LRU by a byte budget over the stored record sizes. The
  * recency order is kept in memory (a monotonic use counter) and
@@ -60,6 +60,9 @@ class ResultCache
      */
     void put(const std::string &key, const std::string &record_json);
 
+    /** Drop @p key's entry and its file (a record found unreadable). */
+    void erase(const std::string &key);
+
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
 
@@ -73,6 +76,8 @@ class ResultCache
     };
 
     std::string path(const std::string &key) const;
+    /** Delete @p it's file and forget the entry (mu_ held). */
+    void removeLocked(std::map<std::string, Entry>::iterator it);
     void evictLocked(const std::string &keep);
 
     const std::string dir_;

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <pthread.h>
 #include <sys/socket.h>
@@ -35,13 +34,6 @@ nameCurrentThread(const char *name)
 #else
     (void)name;
 #endif
-}
-
-std::string
-requestId(const json::Value &req)
-{
-    return req.at("id").isString() ? req.at("id").asString()
-                                   : std::string();
 }
 
 } // namespace
@@ -190,9 +182,7 @@ Server::connectionLoop(Conn *conn)
                 break;
             continue;
         }
-        const std::string op = req.at("op").isString()
-                                   ? req.at("op").asString()
-                                   : std::string();
+        const std::string op = stringAt(req, "op");
         json::Value resp;
         if (op == "ping") {
             resp = handlePing();
@@ -242,14 +232,22 @@ Server::handleSubmit(const json::Value &req)
 {
     if (!req.has("job"))
         return errorResponse("submit", "missing member 'job'");
-    JobSpec spec;
+    // A malformed job or an unknown preset is a submit error; past
+    // this point executeRun() isolates every failure of the run.
+    std::string id;
+    harness::RunSpec run;
     try {
         ScopedErrorCapture capture;
-        spec = jobSpecFromJson(req.at("job"));
+        JobSpec spec = jobSpecFromJson(req.at("job"));
+        const Preset preset = harness::parsePresetName(spec.preset);
+        // Key the presetName() spelling: an alias is the same job.
+        spec.preset = presetName(preset);
+        id = jobKey(spec);
+        run = {preset, std::move(spec.workload), std::move(spec.base),
+               spec.opts, spec.host_stats};
     } catch (const std::exception &e) {
         return errorResponse("submit", e.what());
     }
-    const std::string id = jobKey(spec);
 
     std::shared_ptr<Job> job;
     bool fresh = false;
@@ -268,32 +266,28 @@ Server::handleSubmit(const json::Value &req)
             }
             // Disk lookup before admission control: a cache hit
             // consumes no queue slot and no worker.
-            if (auto bytes = cache_.get(id)) {
-                job = std::make_shared<Job>();
-                job->id = id;
-                job->spec = std::move(spec);
+            std::optional<std::string> bytes = cache_.get(id);
+            if (!bytes && queued_ >= opt_.queue_depth) {
+                return errorResponse(
+                    "submit",
+                    "queue full (depth " +
+                        std::to_string(opt_.queue_depth) +
+                        "); drain a result and retry",
+                    /*retriable=*/true);
+            }
+            job = std::make_shared<Job>();
+            job->id = id;
+            job->run = std::move(run);
+            if (bytes) {
                 job->state = JobState::Done;
                 job->cached = true;
-                job->run_ok = true;
                 job->record = std::move(*bytes);
-                jobs_[id] = job;
             } else {
-                if (queued_ >= opt_.queue_depth) {
-                    return errorResponse(
-                        "submit",
-                        "queue full (depth " +
-                            std::to_string(opt_.queue_depth) +
-                            "); drain a result and retry",
-                        /*retriable=*/true);
-                }
-                job = std::make_shared<Job>();
-                job->id = id;
-                job->spec = std::move(spec);
-                jobs_[id] = job;
                 ++queued_;
                 ++submitted_;
                 fresh = true;
             }
+            jobs_[id] = job;
         }
     }
     if (fresh) {
@@ -324,19 +318,16 @@ Server::executeJob(const std::shared_ptr<Job> &job)
     }
     cv_.notify_all();
     if (!opt_.quiet) {
-        inform("carve-served: run %s (%s/%s/%llu)",
-               job->id.c_str(), job->spec.preset.c_str(),
-               job->spec.workload.name.c_str(),
-               static_cast<unsigned long long>(job->spec.seed));
+        inform("carve-served: run %s (%s)", job->id.c_str(),
+               job->run.key().c_str());
     }
 
-    const harness::RunResult res = runIsolated(job->spec);
+    const harness::RunResult res = harness::executeRun(job->run);
     const std::string record = harness::resultToJson(res).dump(0);
     {
         std::lock_guard lock(mu_);
         job->record = record;
         job->wall_seconds = res.wall_seconds;
-        job->run_ok = res.ok();
         job->state = JobState::Done;
         --running_;
         ++completed_;
@@ -353,40 +344,10 @@ Server::executeJob(const std::shared_ptr<Job> &job)
         cache_.put(job->id, record);
 }
 
-harness::RunResult
-Server::runIsolated(const JobSpec &spec)
-{
-    try {
-        // executeRun() captures panics during simulation; this outer
-        // capture additionally covers spec realization (unknown
-        // preset name, inconsistent config).
-        ScopedErrorCapture capture;
-        harness::RunSpec rs;
-        rs.preset = harness::parsePresetName(spec.preset);
-        rs.workload = spec.workload;
-        rs.base = spec.config;
-        rs.opts.seed = spec.seed;
-        rs.opts.max_cycles = spec.max_cycles;
-        rs.opts.max_wall_seconds = spec.max_wall_seconds;
-        rs.opts.profile_lines = spec.profile_lines;
-        rs.opts.audit = spec.audit;
-        rs.host_stats = spec.host_stats;
-        return harness::executeRun(rs);
-    } catch (const std::exception &e) {
-        harness::RunResult r;
-        r.preset = spec.preset;
-        r.workload = spec.workload.name;
-        r.seed = spec.seed;
-        r.status = harness::RunStatus::Failed;
-        r.error = e.what();
-        return r;
-    }
-}
-
 json::Value
 Server::handleStatus(const json::Value &req)
 {
-    const std::string id = requestId(req);
+    const std::string id = stringAt(req, "id");
     std::lock_guard lock(mu_);
     const auto it = jobs_.find(id);
     if (it == jobs_.end())
@@ -404,13 +365,9 @@ Server::handleStatus(const json::Value &req)
 json::Value
 Server::handleResult(const json::Value &req, Conn *conn)
 {
-    const std::string id = requestId(req);
-    const bool wait =
-        req.at("wait").kind() == json::Value::Kind::Bool &&
-        req.at("wait").asBool();
-    const bool events =
-        req.at("events").kind() == json::Value::Kind::Bool &&
-        req.at("events").asBool();
+    const std::string id = stringAt(req, "id");
+    const bool wait = boolAt(req, "wait");
+    const bool events = boolAt(req, "events");
 
     std::shared_ptr<Job> job;
     json::Value o{json::Members{}};
@@ -480,6 +437,18 @@ Server::handleResult(const json::Value &req, Conn *conn)
         ScopedErrorCapture capture;
         o.set("run", json::parse(job->record, "stored record"));
     } catch (const std::exception &e) {
+        // Forget the unreadable record, in the registry and on disk,
+        // so the next submit of this job simulates it again. If a
+        // resubmit already replaced this Job, both entries are the
+        // replacement's and stay.
+        {
+            std::lock_guard lock(mu_);
+            const auto it = jobs_.find(id);
+            if (it != jobs_.end() && it->second == job) {
+                jobs_.erase(it);
+                cache_.erase(id);
+            }
+        }
         json::Value err = errorResponse(
             "result",
             std::string("stored record unreadable: ") + e.what());
@@ -492,7 +461,7 @@ Server::handleResult(const json::Value &req, Conn *conn)
 json::Value
 Server::handleCancel(const json::Value &req)
 {
-    const std::string id = requestId(req);
+    const std::string id = stringAt(req, "id");
     std::lock_guard lock(mu_);
     const auto it = jobs_.find(id);
     if (it == jobs_.end())

@@ -15,6 +15,8 @@
  *    as carve-sweep;
  *  - a ResultCache persisting completed Ok records on disk, so a
  *    restarted daemon still answers repeats without re-simulating.
+ *    A stored record that no longer parses fails its result request
+ *    and is dropped, so the next submit simulates the job again.
  *
  * Backpressure: submissions beyond Options::queue_depth queued jobs
  * are rejected with a retriable "queue full" error — the client is
@@ -110,7 +112,7 @@ class Server
     struct Job
     {
         std::string id;
-        JobSpec spec;
+        harness::RunSpec run;
         JobState state = JobState::Queued;
         /** Served without simulating (registry or disk). */
         bool cached = false;
@@ -119,7 +121,6 @@ class Server
          * that saw Done under mu_ may read it without the lock. */
         std::string record;
         double wall_seconds = 0.0;
-        bool run_ok = false;
     };
 
     struct Conn
@@ -155,7 +156,6 @@ class Server
 
     void connectionLoop(Conn *conn);
     void executeJob(const std::shared_ptr<Job> &job);
-    harness::RunResult runIsolated(const JobSpec &spec);
     void pruneConnections();
 
     json::Value handlePing() const;

@@ -7,11 +7,9 @@
  *
  * Design constraints, in priority order:
  *
- *  1. Provably free when off. Building with -DCARVE_TRACE=OFF defines
- *     CARVE_TRACE_ENABLED=0 and every instrumentation site — all
- *     guarded by active() — folds to a constant-false branch. At
- *     runtime, a null Session pointer (the default everywhere) keeps
- *     the hooks to one pointer test.
+ *  1. Cheap when off. Every instrumentation site is guarded by
+ *     active(); a null Session pointer (the default everywhere)
+ *     keeps the hooks to one pointer test.
  *  2. Deterministic simulation. The tracer only *observes*: it never
  *     schedules events, so an instrumented run executes the exact
  *     event sequence of an uninstrumented one and results files stay
@@ -31,11 +29,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-/** Compile-time kill switch, normally set by CMake (CARVE_TRACE). */
-#ifndef CARVE_TRACE_ENABLED
-#define CARVE_TRACE_ENABLED 1
-#endif
 
 namespace carve {
 namespace trace {
@@ -119,9 +112,6 @@ struct Options
      * out_path from the run key when out_path is empty. */
     std::string out_dir;
 };
-
-/** True when the tracing hooks were compiled in (CARVE_TRACE=ON). */
-constexpr bool compiled_in = CARVE_TRACE_ENABLED != 0;
 
 /**
  * One tracing session: the ring-buffer sink plus the track registry
@@ -243,15 +233,11 @@ class Session
  *     if (trace::active(trace_, trace::Category::Dram))
  *         trace_->span(...);
  *
- * With CARVE_TRACE=OFF this is constant-false and the whole site is
- * dead code; with tracing compiled in but no session attached it costs
- * one pointer test.
+ * With no session attached it costs one pointer test.
  */
 inline bool
 active(const Session *s, Category c)
 {
-    if constexpr (!compiled_in)
-        return false;
     return s != nullptr && s->wants(c);
 }
 

@@ -186,21 +186,6 @@ TEST(Stats, AverageComputesMean)
     EXPECT_DOUBLE_EQ(a.sum(), 12.0);
 }
 
-TEST(Stats, DistributionBucketsAndOverflow)
-{
-    stats::Distribution d(4, 10);
-    d.sample(0);
-    d.sample(9);
-    d.sample(10);
-    d.sample(35);
-    d.sample(1000);  // clamps into last bucket
-    EXPECT_EQ(d.count(), 5u);
-    EXPECT_EQ(d.max(), 1000u);
-    EXPECT_EQ(d.buckets()[0], 2u);
-    EXPECT_EQ(d.buckets()[1], 1u);
-    EXPECT_EQ(d.buckets()[3], 2u);
-}
-
 TEST(Stats, GroupDottedNamesAndDump)
 {
     stats::StatGroup root("sys");

@@ -10,9 +10,13 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "harness/results_io.hh"
@@ -90,37 +94,135 @@ TEST_F(ServiceTest, JobKeyIgnoresOverrideApplicationOrder)
 {
     JobSpec a = miniJob();
     JobSpec b = miniJob();
-    a.config.applyOverride("rdc.size", "1048576");
-    a.config.applyOverride("numa.replication", "readonly");
-    a.config.applyOverride("link.gpu_gpu_bw", "32");
-    b.config.applyOverride("link.gpu_gpu_bw", "32");
-    b.config.applyOverride("numa.replication", "readonly");
-    b.config.applyOverride("rdc.size", "1048576");
+    a.base.applyOverride("rdc.size", "1048576");
+    a.base.applyOverride("numa.replication", "readonly");
+    a.base.applyOverride("link.gpu_gpu_bw", "32");
+    b.base.applyOverride("link.gpu_gpu_bw", "32");
+    b.base.applyOverride("numa.replication", "readonly");
+    b.base.applyOverride("rdc.size", "1048576");
     EXPECT_EQ(jobKey(a), jobKey(b))
         << "override application order must not change job identity";
     EXPECT_TRUE(isJobKey(jobKey(a)));
     EXPECT_EQ(jobSpecToJson(a).dump(0), jobSpecToJson(b).dump(0));
 }
 
+/** @p cfg's serialized value for override key @p key. */
+std::string
+overrideValue(const SystemConfig &cfg, const std::string &key)
+{
+    for (const ConfigOverride &ov : cfg.toOverrides()) {
+        if (ov.key == key)
+            return ov.value;
+    }
+    return std::string();
+}
+
 TEST_F(ServiceTest, JobKeySeparatesSemanticDifferences)
 {
     const JobSpec base = miniJob();
+    const std::string base_key = jobKey(base);
 
-    JobSpec seed = base;
-    seed.seed = 2;
-    EXPECT_NE(jobKey(seed), jobKey(base));
+    // Every override-registry key, set to another value it accepts:
+    // a changed number, a flipped bool or another enum name.
+    for (const std::string &key : SystemConfig::listOverrideKeys()) {
+        const std::string cur = overrideValue(base.base, key);
+        std::vector<std::string> values = {
+            "true",       "false", "serial", "parallel", "firsttouch",
+            "roundrobin", "local", "none",   "readonly", "all",
+            "software",   "hwvi",  "writethrough", "writeback"};
+        if (!cur.empty() &&
+            cur.find_first_not_of("0123456789") == std::string::npos) {
+            values.insert(values.begin(),
+                          std::to_string(std::stoull(cur) * 2 + 1));
+        } else if (!cur.empty() &&
+                   cur.find_first_not_of("0123456789.e+-") ==
+                       std::string::npos) {
+            values.insert(values.begin(),
+                          std::to_string(std::stod(cur) / 2 + 1));
+        }
+        bool changed = false;
+        for (const std::string &v : values) {
+            JobSpec j = base;
+            try {
+                ScopedErrorCapture capture;
+                j.base.applyOverride(key, v);
+            } catch (const SimAbortError &) {
+                continue;  // not a value of this key
+            }
+            if (overrideValue(j.base, key) == cur)
+                continue;
+            EXPECT_NE(jobKey(j), base_key) << key << "=" << v;
+            changed = true;
+            break;
+        }
+        EXPECT_TRUE(changed) << "no other value found for " << key;
+    }
 
-    JobSpec hs = base;
-    hs.host_stats = true;  // changes result bytes, so changes the key
-    EXPECT_NE(jobKey(hs), jobKey(base));
+    // The preset, every carve-job/3 option and every workload field.
+    using Edit = void (*)(JobSpec &);
+    const std::pair<const char *, Edit> edits[] = {
+        {"preset", [](JobSpec &j) { j.preset = "NUMA-GPU"; }},
+        {"seed", [](JobSpec &j) { j.opts.seed += 1; }},
+        {"max_cycles", [](JobSpec &j) { j.opts.max_cycles += 1; }},
+        {"max_wall_seconds",
+         [](JobSpec &j) { j.opts.max_wall_seconds = 2.5; }},
+        {"profile_lines",
+         [](JobSpec &j) { j.opts.profile_lines = !j.opts.profile_lines; }},
+        {"audit", [](JobSpec &j) { j.opts.audit = !j.opts.audit; }},
+        {"telemetry.enabled",
+         [](JobSpec &j) { j.opts.telemetry.enabled = true; }},
+        {"telemetry.host_timing",
+         [](JobSpec &j) { j.opts.telemetry.host_timing = true; }},
+        {"host_stats", [](JobSpec &j) { j.host_stats = !j.host_stats; }},
+        {"engine",
+         [](JobSpec &j) { j.opts.engine = SimEngine::Parallel; }},
+        {"sim_threads", [](JobSpec &j) { j.opts.sim_threads = 2; }},
+        {"workload.name", [](JobSpec &j) { j.workload.name += "x"; }},
+        {"kernels", [](JobSpec &j) { j.workload.kernels += 1; }},
+        {"ctas", [](JobSpec &j) { j.workload.ctas += 1; }},
+        {"warps_per_cta",
+         [](JobSpec &j) { j.workload.warps_per_cta += 1; }},
+        {"insts_per_warp",
+         [](JobSpec &j) { j.workload.insts_per_warp += 1; }},
+        {"compute_min", [](JobSpec &j) { j.workload.compute_min += 1; }},
+        {"compute_max", [](JobSpec &j) { j.workload.compute_max += 1; }},
+        {"iterative",
+         [](JobSpec &j) { j.workload.iterative = !j.workload.iterative; }},
+        {"regions",
+         [](JobSpec &j) {
+             j.workload.regions.push_back(j.workload.regions.front());
+         }},
+        {"region.kind",
+         [](JobSpec &j) {
+             j.workload.regions[0].kind = RegionKind::RandomGlobal;
+         }},
+        {"region.bytes",
+         [](JobSpec &j) { j.workload.regions[0].bytes *= 2; }},
+        {"region.access_frac",
+         [](JobSpec &j) { j.workload.regions[0].access_frac /= 2; }},
+        {"region.write_frac",
+         [](JobSpec &j) { j.workload.regions[0].write_frac /= 2; }},
+        {"region.zipf",
+         [](JobSpec &j) { j.workload.regions[0].zipf /= 2; }},
+        {"region.lanes",
+         [](JobSpec &j) { j.workload.regions[0].lanes += 1; }},
+        {"region.neighbor_frac",
+         [](JobSpec &j) { j.workload.regions[0].neighbor_frac /= 2; }},
+    };
+    for (const auto &[what, edit] : edits) {
+        JobSpec j = base;
+        edit(j);
+        EXPECT_NE(jobKey(j), base_key) << what;
+    }
 
-    JobSpec cfg = base;
-    cfg.config.applyOverride("rdc.size", "1048576");
-    EXPECT_NE(jobKey(cfg), jobKey(base));
-
-    JobSpec wl = base;
-    wl.workload.insts_per_warp += 1;
-    EXPECT_NE(jobKey(wl), jobKey(base));
+    // An engine chosen by option or by config is one job.
+    JobSpec by_opts = base;
+    by_opts.opts.engine = SimEngine::Parallel;
+    by_opts.opts.sim_threads = 2;
+    JobSpec by_config = base;
+    by_config.base.applyOverride("engine", "parallel");
+    by_config.base.applyOverride("sim_threads", "2");
+    EXPECT_EQ(jobKey(by_opts), jobKey(by_config));
 }
 
 TEST_F(ServiceTest, CanonicalOverridesAreSortedAndComplete)
@@ -147,16 +249,20 @@ TEST_F(ServiceTest, CanonicalOverridesAreSortedAndComplete)
 TEST_F(ServiceTest, JobSpecSurvivesJsonRoundTrip)
 {
     JobSpec spec = miniJob(7);
-    spec.max_cycles = 123456;
-    spec.audit = true;
+    spec.opts.max_cycles = 123456;
+    spec.opts.audit = true;
+    spec.opts.telemetry.enabled = true;
+    spec.opts.telemetry.host_timing = true;
     const JobSpec back = jobSpecFromJson(jobSpecToJson(spec));
     EXPECT_EQ(back.preset, spec.preset);
     EXPECT_EQ(back.workload.name, spec.workload.name);
     ASSERT_EQ(back.workload.regions.size(),
               spec.workload.regions.size());
-    EXPECT_EQ(back.seed, 7u);
-    EXPECT_EQ(back.max_cycles, 123456u);
-    EXPECT_TRUE(back.audit);
+    EXPECT_EQ(back.opts.seed, 7u);
+    EXPECT_EQ(back.opts.max_cycles, 123456u);
+    EXPECT_TRUE(back.opts.audit);
+    EXPECT_TRUE(back.opts.telemetry.enabled);
+    EXPECT_TRUE(back.opts.telemetry.host_timing);
     EXPECT_FALSE(back.host_stats);
     EXPECT_EQ(jobKey(back), jobKey(spec))
         << "round trip must preserve content identity";
@@ -295,6 +401,13 @@ TEST_F(ServiceTest, ServerMemoizesAndServesByteIdenticalRecords)
         ASSERT_TRUE(r2.ok) << r2.error;
         EXPECT_EQ(r2.record_json, first_record);
 
+        // A preset alias names the same job.
+        JobSpec alias = job;
+        alias.preset = "carvehwc";
+        const SubmitReply s3 = client->submit(alias);
+        EXPECT_EQ(s3.id, s1.id);
+        EXPECT_TRUE(s3.cached);
+
         const json::Value st = client->stats();
         EXPECT_GE(st.at("memo_hits").asInt(), 1);
         EXPECT_EQ(st.at("completed").asInt(), 1);
@@ -331,6 +444,35 @@ TEST_F(ServiceTest, ServerMemoizesAndServesByteIdenticalRecords)
         server.requestDrain();
         serving.join();
     }
+}
+
+TEST_F(ServiceTest, TelemetryJobIsServedByteIdentically)
+{
+    const std::string dir = scratchDir("svc-telemetry");
+    Server::Options opt;
+    opt.socket_path = dir + "/s.sock";
+    opt.threads = 1;
+    opt.cache_dir = "";
+    opt.quiet = true;
+
+    Server server(opt);
+    std::jthread serving([&] { server.serve(); });
+    auto client = connectRetry(opt.socket_path);
+    ASSERT_TRUE(client.has_value());
+
+    harness::RunSpec spec = miniSpec();
+    spec.opts.telemetry.enabled = true;
+    const SubmitReply s = client->submit(jobFromRunSpec(spec));
+    EXPECT_TRUE(s.ok) << s.error;
+    const ResultReply r = client->result(s.id);
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.record_json,
+              harness::resultToJson(harness::executeRun(spec)).dump(0));
+    // Histogram stats exist only with telemetry on.
+    EXPECT_NE(r.record_json.find(".p99\""), std::string::npos);
+
+    server.requestDrain();
+    serving.join();
 }
 
 TEST_F(ServiceTest, ServerHandlesFailedRunsAndBadRequests)
@@ -385,6 +527,21 @@ TEST_F(ServiceTest, ServerHandlesFailedRunsAndBadRequests)
 
     EXPECT_FALSE(client->cancel("ffffffffffffffff"));
 
+    // An unknown preset is a submit error, and a traced job is
+    // refused by the client before it is sent.
+    JobSpec unknown = miniJob();
+    unknown.preset = "no-such-preset";
+    const SubmitReply u = client->submit(unknown);
+    EXPECT_FALSE(u.ok);
+    EXPECT_NE(u.error.find("unknown preset"), std::string::npos)
+        << u.error;
+    harness::RunSpec traced = miniSpec();
+    traced.opts.trace.enabled = true;
+    const SubmitReply t = client->submit(jobFromRunSpec(traced));
+    EXPECT_FALSE(t.ok);
+    EXPECT_FALSE(t.retriable);
+    EXPECT_NE(t.error.find("trace"), std::string::npos) << t.error;
+
     // The connection survived all of the above.
     const json::Value st2 = client->stats();
     EXPECT_TRUE(st2.at("ok").asBool());
@@ -435,6 +592,7 @@ TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
     opt.cache_dir = dir + "/cache";
     opt.quiet = true;
     const JobSpec job = miniJob();
+    std::string first_record;
 
     {
         Server server(opt);
@@ -445,6 +603,7 @@ TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
         ASSERT_TRUE(s.ok) << s.error;
         const ResultReply r = client->result(s.id);
         ASSERT_TRUE(r.ok) << r.error;
+        first_record = r.record_json;
         server.requestDrain();
         serving.join();
     }
@@ -473,6 +632,25 @@ TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
     // The daemon keeps answering, here and on a new connection.
     EXPECT_TRUE(client->stats().at("ok").asBool());
     EXPECT_TRUE(Client::connect(opt.socket_path).has_value());
+
+    // The unreadable entry is gone: a resubmit simulates the job
+    // again, gets the first daemon's bytes and stores them whole.
+    const SubmitReply again = client->submit(job);
+    EXPECT_TRUE(again.ok) << again.error;
+    EXPECT_FALSE(again.cached);
+    const ResultReply fresh = client->result(again.id);
+    EXPECT_TRUE(fresh.ok) << fresh.error;
+    EXPECT_FALSE(fresh.cached);
+    EXPECT_EQ(fresh.record_json, first_record);
+    // The store trails the Done transition by a beat; poll it in.
+    for (int i = 0; i < 250; ++i) {
+        if (client->stats().at("cache").at("stores").asInt() >= 1)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    std::ifstream is(entry, std::ios::binary);
+    const std::string stored{std::istreambuf_iterator<char>(is), {}};
+    EXPECT_EQ(stored, first_record);
 
     server.requestDrain();
     serving.join();

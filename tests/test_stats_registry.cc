@@ -102,22 +102,19 @@ TEST(StatsRegistry, DumpIsIndependentOfRegistrationOrder)
     EXPECT_LT(text.find("zeta.alpha"), text.find("zeta.beta"));
 }
 
-TEST(StatsRegistry, FlattenExpandsAveragesAndDistributions)
+TEST(StatsRegistry, FlattenExpandsAverages)
 {
     stats::Scalar s;
     stats::Average avg;
-    stats::Distribution dist(4, 8);
 
     stats::StatGroup root("");
     stats::StatGroup g("g", &root);
     g.addScalar("events", &s);
     g.addAverage("delay", &avg);
-    g.addDistribution("sizes", &dist);
 
     s += 5;
     avg.sample(2.0);
     avg.sample(4.0);
-    dist.sample(std::uint64_t{30});
 
     const auto flat = stats::flattenStats(root);
     ASSERT_FALSE(flat.empty());
@@ -137,12 +134,6 @@ TEST(StatsRegistry, FlattenExpandsAveragesAndDistributions)
     EXPECT_EQ(find("g.delay.count")->u64, 2u);
     ASSERT_NE(find("g.delay.sum"), nullptr);
     EXPECT_DOUBLE_EQ(find("g.delay.sum")->asDouble(), 6.0);
-    ASSERT_NE(find("g.sizes.count"), nullptr);
-    EXPECT_EQ(find("g.sizes.count")->u64, 1u);
-    ASSERT_NE(find("g.sizes.max"), nullptr);
-    EXPECT_EQ(find("g.sizes.max")->u64, 30u);
-    ASSERT_NE(find("g.sizes.sum"), nullptr);
-    EXPECT_EQ(find("g.sizes.sum")->u64, 30u);
 }
 
 // ---- sample guards -------------------------------------------------
@@ -158,20 +149,6 @@ TEST(StatsRegistry, AverageDropsNanAndNegativeSamples)
     EXPECT_EQ(a.count(), 2u);
     EXPECT_DOUBLE_EQ(a.sum(), 8.0);
     EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-}
-
-TEST(StatsRegistry, DistributionDropsNanAndNegativeSamples)
-{
-    stats::Distribution d(4, 10);
-    d.sample(15.0);
-    d.sample(std::nan(""));
-    d.sample(-3.5);
-    d.sample(-std::numeric_limits<double>::infinity());
-    EXPECT_EQ(d.count(), 1u);
-    EXPECT_EQ(d.sum(), 15u);
-    // Integer samples still take the exact path.
-    d.sample(std::uint64_t{7});
-    EXPECT_EQ(d.count(), 2u);
 }
 
 TEST(StatsRegistry, ScalarActsLikeCounter)

@@ -104,9 +104,7 @@ TEST(TraceCategories, ActiveHonoursMaskAndNullSession)
         static_cast<std::uint32_t>(trace::Category::Dram);
     trace::Session s(opt);
 
-    // When compiled out, active() is constant-false regardless.
-    EXPECT_EQ(trace::active(&s, trace::Category::Dram),
-              trace::compiled_in);
+    EXPECT_TRUE(trace::active(&s, trace::Category::Dram));
     EXPECT_FALSE(trace::active(&s, trace::Category::Sm));
     EXPECT_FALSE(trace::active(nullptr, trace::Category::Dram));
 }
@@ -238,8 +236,6 @@ tracedJob(const std::string &out_path)
 
 TEST(TraceEndToEnd, TracedRunExportsFullTimeline)
 {
-    if (!trace::compiled_in)
-        GTEST_SKIP() << "built with CARVE_TRACE=OFF";
     const std::string path =
         testing::TempDir() + "carve_e2e.trace.json";
     const SimResult res = run(tracedJob(path));
@@ -298,8 +294,6 @@ TEST(TraceEndToEnd, TracedRunExportsFullTimeline)
 
 TEST(TraceEndToEnd, CategoryMaskFiltersComponents)
 {
-    if (!trace::compiled_in)
-        GTEST_SKIP() << "built with CARVE_TRACE=OFF";
     SimJob job = tracedJob("");
     job.options.trace.out_path.clear();
     job.options.trace.categories =

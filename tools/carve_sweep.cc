@@ -130,7 +130,8 @@ usage()
         "                            execution if unreachable);\n"
         "                            repeated identical runs come\n"
         "                            back from the daemon's result\n"
-        "                            cache without re-simulating\n"
+        "                            cache without re-simulating;\n"
+        "                            --trace jobs are refused\n"
         "\n"
         "telemetry:\n"
         "  --telemetry               record latency histograms (MSHR\n"
@@ -552,15 +553,6 @@ main(int argc, char **argv)
             fatal("--compare requires --baseline");
         return compareMode(cli);
     }
-
-    if (cli.trace && !cli.server_path.empty())
-        fatal("--trace cannot be combined with --server: trace files "
-              "would be written on the daemon side");
-
-    if (cli.telemetry && !cli.server_path.empty())
-        fatal("--telemetry cannot be combined with --server: served "
-              "job specs do not carry telemetry options (scrape the "
-              "daemon's own metrics with carve-top instead)");
 
     // Read the baseline up-front: a missing or unparsable file must
     // fail the invocation immediately, not after the whole sweep has
