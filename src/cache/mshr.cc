@@ -75,10 +75,8 @@ MshrFile::allocate(Addr line_addr, Callback cb)
     const std::uint32_t i = insertSlot(line_addr);
     const std::uint32_t w = waiters_.alloc({cb, npos});
     head_[i] = tail_[i] = w;
-    if (miss_life_)
-        born_[i] = telem_clock_->now();
-    else if (trace::active(trace_, trace_cat_))
-        born_[i] = trace_eq_->now();
+    if (lifetime_.on())
+        born_[i] = eq_->now();
     ++live_;
     return MshrOutcome::NewEntry;
 }
@@ -91,12 +89,8 @@ MshrFile::complete(Addr line_addr)
         panic("MshrFile: completing untracked line %llx",
               static_cast<unsigned long long>(line_addr));
 
-    if (trace::active(trace_, trace_cat_)) {
-        trace_->span(trace_cat_, trace_track_, trace_name_, born_[i],
-                     trace_eq_->now(), line_addr);
-    }
-    if (miss_life_)
-        miss_life_->sample(telem_clock_->now() - born_[i]);
+    if (lifetime_.on())
+        lifetime_.span(born_[i], eq_->now(), line_addr);
 
     // Detach the entry before firing: callbacks may allocate new
     // entries (even for this same line).
@@ -130,8 +124,8 @@ MshrFile::park(Completion retry)
         fatal("MshrFile: park() needs an event queue "
               "(none was passed at construction)");
     ++parks_;
-    if (park_dur_)
-        park_stamps_.push_back(telem_clock_->now());
+    if (park_.on())
+        park_stamps_.push_back(eq_->now());
     const std::uint32_t w = waiters_.alloc({retry, npos});
     if (wake_tail_ == npos) {
         wake_head_ = wake_tail_ = w;
@@ -171,9 +165,8 @@ MshrFile::drainWaiters()
         if (wake_head_ == npos)
             wake_tail_ = npos;
         --parked_count_;
-        if (park_dur_) {
-            park_dur_->sample(telem_clock_->now() -
-                              park_stamps_.front());
+        if (park_.on()) {
+            park_.span(park_stamps_.front(), eq_->now());
             park_stamps_.pop_front();
         }
         wt.fn();

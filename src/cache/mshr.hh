@@ -36,7 +36,7 @@
 #include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "trace/trace.hh"
+#include "trace/probe.hh"
 
 namespace carve {
 
@@ -59,7 +59,8 @@ class MshrFile
     /** @param num_entries max distinct outstanding lines
      *  @param arena optional backing store for waiter records
      *  @param eq owning domain's event queue; required before park()
-     *         may be used (wake-ups drain through it) */
+     *         or a probe is used (wake-ups drain through it, probes
+     *         are timed on it) */
     explicit MshrFile(unsigned num_entries, Arena *arena = nullptr,
                       EventQueue *eq = nullptr);
 
@@ -121,40 +122,24 @@ class MshrFile
     }
 
     /**
-     * Attach the tracer: each entry's allocate->fill lifetime becomes
-     * a span named @p span_name (a static literal) on row @p track,
-     * with the line address as payload. @p eq timestamps both ends.
+     * Wire this file's two probes (the owner's instrument() call):
+     * @p lifetime sees each entry's allocate->fill interval with the
+     * line address as payload, @p park each park()->wake wait. Both
+     * are timed on the construction event queue, so samples are
+     * simulated cycles: deterministic and identical across engines
+     * and thread counts.
      */
     void
-    attachTrace(trace::Session *session, const EventQueue *eq,
-                trace::Category cat, std::uint32_t track,
-                const char *span_name)
+    instrument(const trace::Probe &lifetime, const trace::Probe &park)
     {
-        trace_ = session;
-        trace_eq_ = eq;
-        trace_cat_ = cat;
-        trace_track_ = track;
-        trace_name_ = span_name;
+        lifetime_ = lifetime;
+        park_ = park;
     }
 
-    /**
-     * Attach telemetry histograms (SimJob.options.telemetry). Each
-     * park() stamps @p clock and the matching wake samples the wait
-     * into @p park_duration; each allocate()->complete() lifetime is
-     * sampled into @p miss_lifetime. Either pointer may be null to
-     * skip that measurement. Samples are simulated cycles from the
-     * owning domain's clock, so they are deterministic and identical
-     * across engines and thread counts.
-     */
-    void
-    attachTelemetry(const EventQueue *clock,
-                    telemetry::Histogram *park_duration,
-                    telemetry::Histogram *miss_lifetime)
-    {
-        telem_clock_ = clock;
-        park_dur_ = park_duration;
-        miss_life_ = miss_lifetime;
-    }
+    /** The allocate->fill and park->wake probes; the owner registers
+     * each one's histogram, when wired, in its stat tree. */
+    const trace::Probe &lifetimeProbe() const { return lifetime_; }
+    const trace::Probe &parkProbe() const { return park_; }
 
   private:
     /** Sentinel for an empty table slot; line addresses are aligned
@@ -204,10 +189,10 @@ class MshrFile
     std::vector<Addr> slot_addr_;        ///< kEmpty == free
     std::vector<std::uint32_t> head_;    ///< first waiter, or npos
     std::vector<std::uint32_t> tail_;    ///< last waiter, or npos
-    std::vector<Cycle> born_;            ///< allocate stamp (tracing)
+    std::vector<Cycle> born_;            ///< allocate stamp (lifetime_)
     Pool<Waiter> waiters_;
 
-    EventQueue *eq_;                     ///< drains wake-ups; may be null
+    EventQueue *eq_;                     ///< drains wake-ups, times probes
     std::uint32_t wake_head_ = npos;     ///< first parked retry
     std::uint32_t wake_tail_ = npos;     ///< last parked retry
     std::size_t parked_count_ = 0;
@@ -217,17 +202,10 @@ class MshrFile
     stats::Scalar rejections_;
     stats::Scalar parks_;
 
-    const EventQueue *telem_clock_ = nullptr;
-    telemetry::Histogram *park_dur_ = nullptr;   ///< park->wake cycles
-    telemetry::Histogram *miss_life_ = nullptr;  ///< allocate->fill
-    /** Park stamps, FIFO-parallel to the wake-list (telemetry only). */
+    trace::Probe lifetime_;              ///< allocate->fill
+    trace::Probe park_;                  ///< park->wake
+    /** Park stamps, FIFO-parallel to the wake-list (park_ only). */
     std::deque<Cycle> park_stamps_;
-
-    trace::Session *trace_ = nullptr;
-    const EventQueue *trace_eq_ = nullptr;
-    trace::Category trace_cat_ = trace::Category::Cache;
-    std::uint32_t trace_track_ = 0;
-    const char *trace_name_ = "miss";
 };
 
 } // namespace carve

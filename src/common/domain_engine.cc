@@ -10,7 +10,7 @@ namespace carve {
 
 namespace engine_ctx {
 
-thread_local unsigned current_shard = barrier_shard;
+constinit thread_local unsigned current_shard = barrier_shard;
 
 } // namespace engine_ctx
 

@@ -50,8 +50,11 @@ inline constexpr unsigned max_shards = 18;
 inline constexpr unsigned barrier_shard = max_shards - 1;
 
 /** Domain the calling thread is currently executing (barrier_shard
- * outside a domain window). Set by DomainEngine only. */
-extern thread_local unsigned current_shard;
+ * outside a domain window). Set by DomainEngine only. constinit on
+ * both declarations: readers in other translation units then access
+ * the variable directly instead of through the thread_local wrapper
+ * call, which GCC 12's UBSan reported as a null load. */
+extern constinit thread_local unsigned current_shard;
 
 inline unsigned currentShard() { return current_shard; }
 

@@ -31,7 +31,8 @@ homeNumaNode()
 MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
                                const Workload &wl, bool profile_lines,
                                bool audit,
-                               telemetry::Options telemetry)
+                               telemetry::Options telemetry,
+                               trace::Session *trace)
     : cfg_(cfg),
       engine_(cfg_.num_gpus, DomainEngine::lookaheadWindow(cfg_),
               cfg_.engine, cfg_.sim_threads),
@@ -40,6 +41,7 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
       net_(engine_, cfg_.link, cfg_.num_gpus),
       sys_arena_(Arena::default_chunk_bytes, homeNumaNode()),
       sched_(cfg_.num_gpus),
+      trace_(trace),
       telem_(telemetry),
       stat_root_("")
 {
@@ -111,10 +113,19 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
     if (telem_.enabled) {
         engine_profile_.host_timing = telem_.host_timing;
         engine_.attachProfile(&engine_profile_);
-        net_.enableTelemetry();
-        for (auto &gpu : gpus_)
-            gpu->enableTelemetry();
     }
+
+    // The one instrumentation pass, before registerStats() so the
+    // telemetry histograms join the stat tree. Trace rows are defined
+    // in exported order: system, gpu0..N, interconnect.
+    if (trace_) {
+        trace_->defineProcess(0, "system");
+        trace_->defineThread(0, 0, "kernels");
+        trace_->defineThread(0, 1, "log");
+    }
+    for (unsigned g = 0; g < numGpus(); ++g)
+        gpus_[g]->instrument(trace_, 1 + g, telem_.enabled);
+    net_.instrument(trace_, 1 + numGpus(), telem_.enabled);
 
     registerStats();
     phase_base_ = stats::snapshotScalars(stat_root_);
@@ -235,18 +246,6 @@ MultiGpuSystem::registerStats()
         vi_->registerStats(*child("coherence"));
     for (unsigned g = 0; g < cfg_.num_gpus; ++g)
         gpus_[g]->registerStats(*child("gpu" + std::to_string(g)));
-}
-
-void
-MultiGpuSystem::setTrace(trace::Session *session)
-{
-    trace_ = session;
-    session->defineProcess(0, "system");
-    session->defineThread(0, 0, "kernels");
-    session->defineThread(0, 1, "log");
-    for (unsigned g = 0; g < numGpus(); ++g)
-        gpus_[g]->setTrace(session, 1 + g);
-    net_.setTrace(session, 1 + numGpus());
 }
 
 void

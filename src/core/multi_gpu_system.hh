@@ -65,10 +65,19 @@ class MultiGpuSystem : public SystemFabric
      *        disabled (default) no telemetry stat is registered and
      *        no sampling site runs, so the stat tree is byte-
      *        identical to a build without the subsystem
+     * @param trace tracing session (must outlive the system; null ==
+     *        untraced): system rows (kernel markers, log/audit
+     *        instants), one process per GPU and the interconnect
+     *        process. Counter tracks are sampled at window barriers,
+     *        never from scheduled events, so a traced run executes
+     *        the exact event sequence of an untraced one. Tracing
+     *        requires the serial engine (Simulator::run() enforces
+     *        this).
      */
     MultiGpuSystem(const SystemConfig &cfg, const Workload &wl,
                    bool profile_lines = true, bool audit = false,
-                   telemetry::Options telemetry = {});
+                   telemetry::Options telemetry = {},
+                   trace::Session *trace = nullptr);
 
     /**
      * Execute the whole trace.
@@ -134,14 +143,6 @@ class MultiGpuSystem : public SystemFabric
 
     /** True when the carve-audit checker is attached. */
     bool auditEnabled() const { return audit_.has_value(); }
-
-    /** Attach the tracer and fan it out to every component: system
-     * rows (kernel markers, log/audit instants), one process per GPU,
-     * and the interconnect process. Counter tracks are sampled at
-     * window barriers, never from scheduled events, so a traced run
-     * executes the exact event sequence of an untraced one. Tracing
-     * requires the serial engine (Simulator::run() enforces this). */
-    void setTrace(trace::Session *session);
 
     /** Total warp instructions issued so far. */
     std::uint64_t totalInstsIssued() const;

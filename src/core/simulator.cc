@@ -56,14 +56,11 @@ run(const SimJob &job)
     const RunOptions &opt = job.options;
     const SystemConfig cfg = resolveEngine(job);
     SyntheticWorkload wl(job.workload, cfg.line_size, opt.seed);
-    MultiGpuSystem sys(cfg, wl, opt.profile_lines, opt.audit,
-                       opt.telemetry);
-
     std::unique_ptr<trace::Session> session;
-    if (opt.trace.enabled) {
+    if (opt.trace.enabled)
         session = std::make_unique<trace::Session>(opt.trace);
-        sys.setTrace(session.get());
-    }
+    MultiGpuSystem sys(cfg, wl, opt.profile_lines, opt.audit,
+                       opt.telemetry, session.get());
 
     sys.run(opt.max_cycles, opt.max_wall_seconds);
     if (sys.watchdogTripped() && !opt.tolerate_watchdog) {

@@ -227,18 +227,12 @@ RdcController::kernelBoundarySwc()
         }
         dirty_map_.clear();
         alloy_.cleanAll();
-        if (trace::active(trace_, trace::Category::Rdc)) {
-            trace_->instant(trace::Category::Rdc, trace_track_,
-                            "swc_flush", eq_.now(), bytes);
-        }
+        flush_.instant(eq_.now(), bytes);
     }
     if (epoch_.increment()) {
         // Rollover: the controller physically clears every line.
         alloy_.resetAll();
-        if (trace::active(trace_, trace::Category::Rdc)) {
-            trace_->instant(trace::Category::Rdc, trace_track_,
-                            "epoch_rollover", eq_.now());
-        }
+        rollover_.instant(eq_.now());
     }
     return stall;
 }
@@ -293,13 +287,13 @@ RdcController::registerStats(stats::StatGroup &g)
     dirty_map_.registerStats(*child("dirty_map"));
     stats::StatGroup *mshrsg = child("mshrs");
     mshrs_.registerStats(*mshrsg);
-    if (telem_) {
+    if (mshrs_.parkProbe().histogram())
         mshrsg->addHistogram("park_duration", &mshr_park_dur_,
                              "cycles misses waited parked on the "
                              "full MSHR file");
+    if (mshrs_.lifetimeProbe().histogram())
         mshrsg->addHistogram("miss_lifetime", &miss_life_,
                              "cycles from MSHR allocate to fill");
-    }
 }
 
 void

@@ -123,24 +123,23 @@ class RdcController
     /** Attach the in-flight token tracker (audit mode only). */
     void setAudit(audit::InflightTracker *tracker) { audit_ = tracker; }
 
-    /** Enable MSHR park-duration / miss-lifetime histograms; call
-     * before registerStats() so they join the stat tree. */
+    /** Wire this controller's probes: miss lifetimes become spans on
+     * trace row @p track of @p session (null == untraced), boundary
+     * flushes and epoch rollovers instant markers; with @p telemetry,
+     * the MSHR park-duration / miss-lifetime histograms. Call before
+     * registerStats() so the histograms join the stat tree. */
     void
-    enableTelemetry()
+    instrument(trace::Session *session, std::uint32_t track,
+               bool telemetry)
     {
-        telem_ = true;
-        mshrs_.attachTelemetry(&eq_, &mshr_park_dur_, &miss_life_);
-    }
-
-    /** Attach the tracer: miss lifetimes become spans on row @p track,
-     * boundary flushes and epoch rollovers become instant markers. */
-    void
-    setTrace(trace::Session *session, std::uint32_t track)
-    {
-        trace_ = session;
-        trace_track_ = track;
-        mshrs_.attachTrace(session, &eq_, trace::Category::Rdc, track,
-                           "rdc miss");
+        mshrs_.instrument(
+            trace::Probe(session, trace::Category::Rdc, track, "rdc miss",
+                         trace::histogramIf(telemetry, miss_life_)),
+            trace::Probe(trace::histogramIf(telemetry, mshr_park_dur_)));
+        flush_ = trace::Probe(session, trace::Category::Rdc, track,
+                              "swc_flush");
+        rollover_ = trace::Probe(session, trace::Category::Rdc, track,
+                                 "epoch_rollover");
     }
 
     /** Cross-check alloy dirty bits against the dirty map; failures
@@ -206,10 +205,9 @@ class RdcController
     Addr carve_base_;
 
     audit::InflightTracker *audit_ = nullptr;
-    trace::Session *trace_ = nullptr;
-    std::uint32_t trace_track_ = 0;
+    trace::Probe flush_;     ///< write-back boundary flush (payload: bytes)
+    trace::Probe rollover_;  ///< EPCTR rollover cleared the carve-out
 
-    bool telem_ = false;
     telemetry::Histogram mshr_park_dur_;  ///< park->wake cycles
     telemetry::Histogram miss_life_;      ///< allocate->fill cycles
 

@@ -157,10 +157,7 @@ GpuNode::kernelBoundary()
     for (auto &sm : sms_)
         sm->invalidateL1();
 
-    if (trace::active(trace_, trace::Category::Coherence)) {
-        trace_->instant(trace::Category::Coherence, coherence_track_,
-                        "boundary_invalidate", eq_.now());
-    }
+    boundary_inval_.instant(eq_.now());
 
     Cycle stall = 0;
     const bool hw_coherent = rdc_ &&
@@ -202,10 +199,7 @@ void
 GpuNode::invalidateLine(Addr line)
 {
     ++hw_invalidations_in_;
-    if (trace::active(trace_, trace::Category::Coherence)) {
-        trace_->instant(trace::Category::Coherence, coherence_track_,
-                        "hw_invalidate", eq_.now(), line);
-    }
+    hw_inval_.instant(eq_.now(), line);
     l2_.invalidateLine(line);
     if (rdc_)
         rdc_->invalidateLine(line);
@@ -387,27 +381,40 @@ GpuNode::deliverWrite(Addr line, NodeId service)
 }
 
 void
-GpuNode::setTrace(trace::Session *session, std::uint32_t pid)
+GpuNode::instrument(trace::Session *session, std::uint32_t pid,
+                    bool telemetry)
 {
-    trace_ = session;
-    coherence_track_ = trace::makeTrack(pid, 120);
+    // Defines a trace row (when traced) and returns its track.
+    const auto row = [&](std::uint32_t tid, const std::string &name) {
+        if (session)
+            session->defineThread(pid, tid, name);
+        return trace::makeTrack(pid, tid);
+    };
 
-    session->defineProcess(pid, "gpu" + std::to_string(id_));
+    if (session)
+        session->defineProcess(pid, "gpu" + std::to_string(id_));
+    l1_park_ = trace::Probe(trace::histogramIf(telemetry, l1_park_dur_));
     for (std::size_t s = 0; s < sms_.size(); ++s) {
         const auto tid = static_cast<std::uint32_t>(1 + s);
-        session->defineThread(pid, tid, "sm" + std::to_string(s));
-        sms_[s]->setTrace(session, trace::makeTrack(pid, tid));
+        sms_[s]->instrument(session, row(tid, "sm" + std::to_string(s)),
+                            l1_park_);
     }
-    session->defineThread(pid, 100, "l2.mshr");
-    l2_mshrs_.attachTrace(session, &eq_, trace::Category::Cache,
-                          trace::makeTrack(pid, 100), "l2 miss");
-    if (rdc_) {
-        session->defineThread(pid, 110, "rdc");
-        rdc_->setTrace(session, trace::makeTrack(pid, 110));
-    }
-    session->defineThread(pid, 120, "coherence");
-    mem_.setTrace(session, pid);
+    l2_mshrs_.instrument(
+        trace::Probe(session, trace::Category::Cache, row(100, "l2.mshr"),
+                     "l2 miss",
+                     trace::histogramIf(telemetry, l2_miss_life_)),
+        trace::Probe(trace::histogramIf(telemetry, l2_park_dur_)));
+    if (rdc_)
+        rdc_->instrument(session, row(110, "rdc"), telemetry);
+    const std::uint32_t coherence = row(120, "coherence");
+    boundary_inval_ = trace::Probe(session, trace::Category::Coherence,
+                                   coherence, "boundary_invalidate");
+    hw_inval_ = trace::Probe(session, trace::Category::Coherence,
+                             coherence, "hw_invalidate");
+    mem_.instrument(session, pid);
 
+    if (!session)
+        return;
     session->addCounter(pid, "l2_mshr_occupancy", [this] {
         return static_cast<double>(l2_mshrs_.size());
     });
@@ -428,17 +435,6 @@ GpuNode::setTrace(trace::Session *session, std::uint32_t pid)
             return total == 0.0 ? 0.0 : hits / total;
         });
     }
-}
-
-void
-GpuNode::enableTelemetry()
-{
-    telem_ = true;
-    l2_mshrs_.attachTelemetry(&eq_, &l2_park_dur_, &l2_miss_life_);
-    for (auto &sm : sms_)
-        sm->enableTelemetry(&l1_park_dur_);
-    if (rdc_)
-        rdc_->enableTelemetry();
 }
 
 void
@@ -468,17 +464,18 @@ GpuNode::registerStats(stats::StatGroup &g)
                    "stall episodes on a full L2 MSHR file");
     stats::StatGroup *l2mg = child("mshrs", l2g);
     l2_mshrs_.registerStats(*l2mg);
-    if (telem_) {
+    if (l2_mshrs_.parkProbe().histogram())
         l2mg->addHistogram("park_duration", &l2_park_dur_,
                            "cycles reads waited parked on the full "
                            "L2 MSHR file");
+    if (l2_mshrs_.lifetimeProbe().histogram())
         l2mg->addHistogram("miss_lifetime", &l2_miss_life_,
                            "cycles from L2 MSHR allocate to fill");
+    if (l1_park_.histogram())
         child("l1_mshrs", &g)->addHistogram(
             "park_duration", &l1_park_dur_,
             "cycles reads waited parked on a full L1 MSHR file "
             "(pooled across this GPU's SMs)");
-    }
 
     tlb_.registerStats(*child("tlb", &g));
     mem_.registerStats(*child("mem", &g));

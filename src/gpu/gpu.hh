@@ -168,16 +168,17 @@ class GpuNode
      * system-owned "gpu<i>" group. */
     void registerStats(stats::StatGroup &g);
 
-    /** Enable MSHR latency histograms on this node (L1 park
-     * durations pooled across SMs, L2 park/lifetime, RDC when
-     * present); call before registerStats(). */
-    void enableTelemetry();
-
-    /** Attach the tracer under process @p pid: per-SM rows, the L2
-     * MSHR / RDC / coherence rows, the DRAM channel rows, and this
-     * GPU's counter tracks (MSHR + DRAM queue occupancy, RDC hit
-     * rate). */
-    void setTrace(trace::Session *session, std::uint32_t pid);
+    /**
+     * Wire this node's probes under trace process @p pid (null
+     * @p session == untraced): the per-SM rows, the L2 MSHR / RDC /
+     * coherence rows, the DRAM channel rows and this GPU's counter
+     * tracks (MSHR + DRAM queue occupancy, RDC hit rate); with
+     * @p telemetry, the MSHR latency histograms (L1 park durations
+     * pooled across SMs, L2 park/lifetime, RDC when present). Call
+     * before registerStats() so the histograms join the stat tree.
+     */
+    void instrument(trace::Session *session, std::uint32_t pid,
+                    bool telemetry);
 
   private:
     /** A read in flight to the L2, or parked on the full L2 MSHR
@@ -228,10 +229,10 @@ class GpuNode
     std::function<void(NodeId)> kernel_done_cb_;
 
     audit::InflightTracker *audit_ = nullptr;
-    trace::Session *trace_ = nullptr;
-    std::uint32_t coherence_track_ = 0;
+    trace::Probe boundary_inval_;  ///< kernel-boundary L1/LLC invalidation
+    trace::Probe hw_inval_;        ///< inbound hardware write-invalidate
+    trace::Probe l1_park_;         ///< every SM's L1 MSHR park->wake
 
-    bool telem_ = false;
     telemetry::Histogram l1_park_dur_;   ///< all SMs' L1 MSHR parks
     telemetry::Histogram l2_park_dur_;   ///< L2 MSHR park->wake
     telemetry::Histogram l2_miss_life_;  ///< L2 MSHR allocate->fill

@@ -109,7 +109,7 @@ Sm::execute(unsigned slot)
 
     ++read_insts_;
     w.pending_lines = w.cur.num_lines;
-    if (trace::active(trace_, trace::Category::Sm))
+    if (read_.on())
         w.read_started = eq_.now();
     eq_.scheduleAfter(tlb_lat, bindEvent<&Sm::issueLoads>(this, slot));
 }
@@ -172,12 +172,9 @@ Sm::wakeL1Miss(std::uint32_t parked)
                                                          parked));
         return;
     }
-    if (trace::active(trace_, trace::Category::Sm)) {
-        // One instant per stall episode, with the park duration as
-        // payload (the per-poll variant flooded the ring buffer).
-        trace_->instant(trace::Category::Sm, trace_track_,
-                        "mshr_stall", eq_.now(), eq_.now() - r.since);
-    }
+    // One instant per stall episode, with the park duration as
+    // payload (the per-poll variant flooded the ring buffer).
+    stall_.instant(eq_.now(), eq_.now() - r.since);
     parked_reads_.free(parked);
 }
 
@@ -212,10 +209,7 @@ Sm::lineDone(unsigned slot)
     WarpContext &w = warps_[slot];
     carve_assert(w.pending_lines > 0);
     if (--w.pending_lines == 0) {
-        if (trace::active(trace_, trace::Category::Sm)) {
-            trace_->span(trace::Category::Sm, trace_track_, "read mem",
-                         w.read_started, eq_.now(), w.cur.num_lines);
-        }
+        read_.span(w.read_started, eq_.now(), w.cur.num_lines);
         eq_.scheduleAfter(1 + w.cur.compute_cycles,
                           bindEvent<&Sm::issueWarp>(this, slot));
     }

@@ -107,22 +107,20 @@ class Sm
      * nested "mshrs" group) into @p g. */
     void registerStats(stats::StatGroup &g);
 
-    /** Route this SM's L1 MSHR park durations into @p park_duration
-     * (the owning GPU shares one histogram across its SMs — all run
-     * in the same event domain, so the writes are single-threaded). */
+    /** Wire this SM's probes: warp read-latency spans and one
+     * MSHR-stall instant per stall episode on trace row @p track of
+     * @p session, and the L1 MSHR park durations into @p park (the
+     * owning GPU pools one histogram across its SMs — all run in the
+     * same event domain, so the writes are single-threaded). */
     void
-    enableTelemetry(telemetry::Histogram *park_duration)
+    instrument(trace::Session *session, std::uint32_t track,
+               const trace::Probe &park)
     {
-        l1_mshrs_.attachTelemetry(&eq_, park_duration, nullptr);
-    }
-
-    /** Attach the tracer: warp read-latency spans and MSHR-stall
-     * instants land on this SM's timeline row @p track. */
-    void
-    setTrace(trace::Session *session, std::uint32_t track)
-    {
-        trace_ = session;
-        trace_track_ = track;
+        read_ = trace::Probe(session, trace::Category::Sm, track,
+                             "read mem");
+        stall_ = trace::Probe(session, trace::Category::Sm, track,
+                              "mshr_stall");
+        l1_mshrs_.instrument(trace::Probe(), park);
     }
 
   private:
@@ -167,8 +165,8 @@ class Sm
     Cycle lsu_free_at_ = 0;
     /** Live warps per resident CTA. */
     std::unordered_map<CtaId, unsigned> cta_live_warps_;
-    trace::Session *trace_ = nullptr;
-    std::uint32_t trace_track_ = 0;
+    trace::Probe read_;   ///< warp read latency (issue -> all lines back)
+    trace::Probe stall_;  ///< one L1 MSHR stall episode ended
 
     stats::Scalar insts_issued_;
     stats::Scalar read_insts_;

@@ -141,11 +141,11 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &opt)
                 1, SweepTelemetry::Worker{specs.size(), -1});
         }
     } else {
-        // The pool is owned here (not hidden inside parallelFor) so
-        // the per-worker WorkerState survives until it can be read
-        // into the telemetry record. One pool job per run keeps the
-        // dynamic load balancing of the old index loop and makes
-        // jobs_run count simulations, not drain loops.
+        // The pool is owned here so the per-worker WorkerState
+        // survives until it can be read into the telemetry record.
+        // One pool job per run balances load dynamically (run times
+        // vary by an order of magnitude across the suite) and makes
+        // jobs_run count simulations.
         ThreadPool pool(threads);
         for (std::size_t i = 0; i < specs.size(); ++i)
             pool.submit([&run_one, i] { run_one(i); });

@@ -1,6 +1,5 @@
 #include "harness/thread_pool.hh"
 
-#include <atomic>
 #include <string>
 
 #ifdef __linux__
@@ -101,39 +100,6 @@ ThreadPool::workerLoop(std::stop_token st, unsigned index)
         }
         idle_cv_.notify_all();
     }
-}
-
-void
-parallelFor(std::size_t count, unsigned threads,
-            const std::function<void(std::size_t)> &fn)
-{
-    if (count == 0)
-        return;
-    if (threads > count)
-        threads = static_cast<unsigned>(count);
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-
-    // Dynamic index distribution: simulation run times vary by an
-    // order of magnitude across the suite, so static slicing would
-    // leave workers idle behind one long run.
-    std::atomic<std::size_t> next{0};
-    ThreadPool pool(threads);
-    for (unsigned w = 0; w < threads; ++w) {
-        pool.submit([&] {
-            while (true) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= count)
-                    return;
-                fn(i);
-            }
-        });
-    }
-    pool.wait();
 }
 
 } // namespace harness

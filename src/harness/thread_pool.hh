@@ -3,8 +3,7 @@
  * Fixed-size worker pool for the experiment harness. Simulations are
  * embarrassingly parallel CPU-bound jobs, so the pool is deliberately
  * simple: a locked queue of std::function jobs drained by N
- * std::jthread workers, plus a parallelFor convenience that the sweep
- * executor uses for index-addressed work.
+ * std::jthread workers. The sweep executor submits one job per run.
  */
 
 #ifndef CARVE_HARNESS_THREAD_POOL_HH
@@ -117,14 +116,6 @@ class ThreadPool
     std::unique_ptr<WorkerState[]> state_;
     std::vector<std::jthread> workers_;
 };
-
-/**
- * Run fn(i) for every i in [0, count) on up to @p threads workers
- * (clamped to count; <= 1 executes inline on the caller). Blocks
- * until all iterations finish. @p fn must not throw.
- */
-void parallelFor(std::size_t count, unsigned threads,
-                 const std::function<void(std::size_t)> &fn);
 
 } // namespace harness
 } // namespace carve

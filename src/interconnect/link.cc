@@ -18,6 +18,33 @@ Link::Link(DomainEngine &engine, unsigned dst_domain,
 }
 
 void
+Link::instrument(trace::Session *session, std::uint32_t track,
+                 bool telemetry)
+{
+    queue_ = trace::Probe(trace::histogramIf(telemetry, queue_delay_hist_));
+    wire_ = trace::Probe(session, trace::Category::Link, track, "pkt");
+    if (!session)
+        return;
+    const std::uint32_t pid = trace::trackPid(track);
+    session->defineThread(pid, trace::trackTid(track), name_);
+    // Windowed utilization: busy-cycle delta over one sample
+    // interval, so the counter shows instantaneous saturation rather
+    // than the end-to-end average.
+    const Cycle interval = session->sampleInterval();
+    session->addCounter(
+        pid, "util " + name_,
+        [this, interval, prev = std::uint64_t{0}]() mutable {
+            const std::uint64_t busy = busyCycles();
+            const double u = interval > 0
+                ? static_cast<double>(busy - prev) /
+                      static_cast<double>(interval)
+                : 0.0;
+            prev = busy;
+            return u;
+        });
+}
+
+void
 Link::send(std::uint64_t bytes, Callback delivered)
 {
     carve_assert(bytes > 0);
@@ -32,13 +59,8 @@ Link::send(std::uint64_t bytes, Callback delivered)
     ++packets_;
     busy_cycles_ += occupancy;
     queue_delay_.sample(static_cast<double>(start - now));
-    if (telem_)
-        queue_delay_hist_.sample(start - now);
-
-    if (trace::active(trace_, trace::Category::Link)) {
-        trace_->span(trace::Category::Link, trace_track_, "pkt",
-                     start, start + occupancy, bytes);
-    }
+    queue_.span(now, start);
+    wire_.span(start, start + occupancy, bytes);
 
     if (audit_) {
         // Wrap (and, for posted packets, materialize) the delivery so

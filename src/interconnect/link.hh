@@ -15,7 +15,7 @@
 #include "common/domain_engine.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "trace/trace.hh"
+#include "trace/probe.hh"
 
 namespace carve {
 
@@ -80,19 +80,13 @@ class Link
      * accepted packet carries a token until delivery. */
     void setAudit(audit::InflightTracker *tracker) { audit_ = tracker; }
 
-    /** Attach the tracer: every accepted packet becomes a wire-
-     * occupancy span on this link's timeline row @p track. */
-    void
-    setTrace(trace::Session *session, std::uint32_t track)
-    {
-        trace_ = session;
-        trace_track_ = track;
-    }
-
-    /** Record the full queueing-delay distribution (not just the
-     * mean) into a telemetry histogram. Call before registerStats()
-     * so the histogram joins the stat tree. */
-    void enableTelemetry() { telem_ = true; }
+    /** Wire this link's probes: the queueing-delay distribution (not
+     * just the mean) when @p telemetry is set, and a wire-occupancy
+     * span per packet on trace row @p track of @p session (null ==
+     * untraced), which a traced link defines along with a windowed
+     * utilization counter. Call before registerStats(). */
+    void instrument(trace::Session *session, std::uint32_t track,
+                    bool telemetry);
 
     /** Register this link's counters into @p g. */
     void
@@ -104,7 +98,7 @@ class Link
                     "cycles the wire was occupied");
         g.addAverage("queue_delay", &queue_delay_,
                      "cycles packets waited for the wire");
-        if (telem_)
+        if (queue_.histogram())
             g.addHistogram("queue_delay_cycles", &queue_delay_hist_,
                            "distribution of cycles packets waited "
                            "for the wire");
@@ -118,14 +112,13 @@ class Link
     Cycle latency_;
     Cycle wire_free_at_ = 0;
     audit::InflightTracker *audit_ = nullptr;
-    trace::Session *trace_ = nullptr;
-    std::uint32_t trace_track_ = 0;
+    trace::Probe queue_;  ///< packet arrival -> wire start
+    trace::Probe wire_;   ///< wire occupancy
 
     stats::Scalar bytes_sent_;
     stats::Scalar packets_;
     stats::Scalar busy_cycles_;
     stats::Average queue_delay_;
-    bool telem_ = false;
     telemetry::Histogram queue_delay_hist_;
 };
 

@@ -131,42 +131,15 @@ Network::registerStats(stats::StatGroup &g)
 }
 
 void
-Network::setTrace(trace::Session *session, std::uint32_t pid)
+Network::instrument(trace::Session *session, std::uint32_t pid,
+                    bool telemetry)
 {
-    session->defineProcess(pid, "interconnect");
-
+    if (session)
+        session->defineProcess(pid, "interconnect");
     std::uint32_t tid = 0;
-    const auto attach = [&](Link &l) {
-        session->defineThread(pid, tid, l.name());
-        l.setTrace(session, trace::makeTrack(pid, tid));
-        // Windowed utilization: busy-cycle delta over one sample
-        // interval, so the counter shows instantaneous saturation
-        // rather than the end-to-end average.
-        const Cycle interval = session->sampleInterval();
-        session->addCounter(
-            pid, "util " + l.name(),
-            [lp = &l, interval,
-             prev = std::uint64_t{0}]() mutable {
-                const std::uint64_t busy = lp->busyCycles();
-                const double u = interval > 0
-                    ? static_cast<double>(busy - prev) /
-                          static_cast<double>(interval)
-                    : 0.0;
-                prev = busy;
-                return u;
-            });
-        ++tid;
-    };
-
-    // Deterministic row order: gpu->gpu src-major, then gpu->cpu,
-    // then cpu->gpu (matches registerStats naming).
-    for (auto &l : gpu_links_)
-        if (l)
-            attach(*l);
-    for (auto &l : to_cpu_)
-        attach(*l);
-    for (auto &l : from_cpu_)
-        attach(*l);
+    forEachLink([&](Link &l) {
+        l.instrument(session, trace::makeTrack(pid, tid++), telemetry);
+    });
 }
 
 } // namespace carve

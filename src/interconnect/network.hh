@@ -73,35 +73,32 @@ class Network
     void
     setAudit(audit::InflightTracker *tracker)
     {
-        for (auto &l : gpu_links_)
-            if (l)
-                l->setAudit(tracker);
-        for (auto &l : to_cpu_)
-            l->setAudit(tracker);
-        for (auto &l : from_cpu_)
-            l->setAudit(tracker);
+        forEachLink([tracker](Link &l) { l.setAudit(tracker); });
     }
 
-    /** Attach the tracer as process @p pid ("interconnect"): one
-     * thread row + one windowed utilization counter per link. */
-    void setTrace(trace::Session *session, std::uint32_t pid);
-
-    /** Enable queue-delay histograms on every link; call before
-     * registerStats(). */
-    void
-    enableTelemetry()
-    {
-        for (auto &l : gpu_links_)
-            if (l)
-                l->enableTelemetry();
-        for (auto &l : to_cpu_)
-            l->enableTelemetry();
-        for (auto &l : from_cpu_)
-            l->enableTelemetry();
-    }
+    /** Wire every link's probes (see Link::instrument()); a traced
+     * network is process @p pid ("interconnect") with one row and one
+     * utilization counter per link. Call before registerStats(). */
+    void instrument(trace::Session *session, std::uint32_t pid,
+                    bool telemetry);
 
   private:
     std::size_t index(NodeId src, NodeId dst) const;
+
+    /** Visit every link in trace-row order: gpu->gpu src-major, then
+     * gpu->cpu, then cpu->gpu (matches registerStats naming). */
+    template <typename Fn>
+    void
+    forEachLink(Fn &&fn)
+    {
+        for (auto &l : gpu_links_)
+            if (l)
+                fn(*l);
+        for (auto &l : to_cpu_)
+            fn(*l);
+        for (auto &l : from_cpu_)
+            fn(*l);
+    }
 
     const LinkConfig &cfg_;
     unsigned num_gpus_;

@@ -122,11 +122,8 @@ DramChannel::issue(std::deque<DramRequest> &q, std::size_t idx)
     bus_free_at_ = start + burst_cycles_;
     busy_cycles_ += burst_cycles_;
 
-    if (trace::active(trace_, trace::Category::Dram)) {
-        trace_->span(trace::Category::Dram, trace_track_,
-                     isWrite(req.type) ? "write burst" : "read burst",
-                     start, start + burst_cycles_, req.row);
-    }
+    (isWrite(req.type) ? write_burst_ : read_burst_)
+        .span(start, start + burst_cycles_, req.row);
 
     if (isWrite(req.type)) {
         ++writes_issued_;

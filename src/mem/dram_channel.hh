@@ -18,7 +18,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/dram_bank.hh"
-#include "trace/trace.hh"
+#include "trace/probe.hh"
 
 namespace carve {
 
@@ -90,13 +90,16 @@ class DramChannel
     /** Per-bank accessor (tests). */
     const DramBank &bank(unsigned i) const { return banks_[i]; }
 
-    /** Attach the tracer: every issued burst becomes a data-bus busy
-     * span on this channel's timeline row @p track. */
+    /** Wire this channel's probes: every issued burst becomes a
+     * data-bus busy span on trace row @p track of @p session (null ==
+     * untraced). */
     void
-    setTrace(trace::Session *session, std::uint32_t track)
+    instrument(trace::Session *session, std::uint32_t track)
     {
-        trace_ = session;
-        trace_track_ = track;
+        read_burst_ = trace::Probe(session, trace::Category::Dram, track,
+                                   "read burst");
+        write_burst_ = trace::Probe(session, trace::Category::Dram, track,
+                                    "write burst");
     }
 
     /** Register this channel's counters into @p g. */
@@ -136,8 +139,8 @@ class DramChannel
     Cycle bus_free_at_ = 0;
     bool reject_seen_ = false;
     std::function<void()> retry_cb_;
-    trace::Session *trace_ = nullptr;
-    std::uint32_t trace_track_ = 0;
+    trace::Probe read_burst_;
+    trace::Probe write_burst_;
 
     stats::Scalar reads_issued_;
     stats::Scalar writes_issued_;

@@ -89,16 +89,18 @@ class MemoryController
      * accepted access carries a token until its channel issues it. */
     void setAudit(audit::InflightTracker *tracker) { audit_ = tracker; }
 
-    /** Attach the tracer under process @p pid: one "dram.ch<i>" row
-     * per channel (tids 200+i, matching the exporter's row layout). */
+    /** Wire every channel's probes under trace process @p pid (null
+     * @p session == untraced): one "dram.ch<i>" row per channel (tids
+     * 200+i, matching the exporter's row layout). */
     void
-    setTrace(trace::Session *session, std::uint32_t pid)
+    instrument(trace::Session *session, std::uint32_t pid)
     {
         for (unsigned c = 0; c < numChannels(); ++c) {
-            session->defineThread(pid, 200 + c,
-                                  "dram.ch" + std::to_string(c));
-            channels_[c]->setTrace(session,
-                                   trace::makeTrack(pid, 200 + c));
+            if (session)
+                session->defineThread(pid, 200 + c,
+                                      "dram.ch" + std::to_string(c));
+            channels_[c]->instrument(session,
+                                     trace::makeTrack(pid, 200 + c));
         }
     }
 

@@ -149,9 +149,9 @@ Session::defineThread(std::uint32_t pid, std::uint32_t tid,
 
 void
 Session::addCounter(std::uint32_t pid, const std::string &name,
-                    std::function<double()> probe)
+                    std::function<double()> sampler)
 {
-    counters_.push_back({pid, intern(name), std::move(probe)});
+    counters_.push_back({pid, intern(name), std::move(sampler)});
 }
 
 void
@@ -160,7 +160,7 @@ Session::sampleCounters(Cycle now)
     for (const CounterDef &c : counters_) {
         Event e;
         e.ts = now;
-        e.value = c.probe();
+        e.value = c.sampler();
         e.name = c.name;
         e.track = makeTrack(c.pid, 0);
         e.cat = Category::Kernel;  // counters bypass category masking

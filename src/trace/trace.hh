@@ -7,9 +7,10 @@
  *
  * Design constraints, in priority order:
  *
- *  1. Cheap when off. Every instrumentation site is guarded by
- *     active(); a null Session pointer (the default everywhere)
- *     keeps the hooks to one pointer test.
+ *  1. Cheap when off. Components record through Probes
+ *     (trace/probe.hh) whose sinks are resolved when they are wired,
+ *     and the system's own sites are guarded by active(); either way
+ *     an untraced site costs one test.
  *  2. Deterministic simulation. The tracer only *observes*: it never
  *     schedules events, so an instrumented run executes the exact
  *     event sequence of an uninstrumented one and results files stay
@@ -116,8 +117,8 @@ struct Options
 /**
  * One tracing session: the ring-buffer sink plus the track registry
  * (process/thread rows for the exporter) and the registered counter
- * probes. Components hold a Session* (null when untraced) and a
- * pre-encoded track id; every hook goes through active() first.
+ * samplers. Components record into it through Probes
+ * (trace/probe.hh); the system's own sites go through active().
  */
 class Session
 {
@@ -139,7 +140,7 @@ class Session
     {
         std::uint32_t pid;
         const char *name;  ///< interned by the session
-        std::function<double()> probe;
+        std::function<double()> sampler;
     };
 
     explicit Session(const Options &opt);
@@ -176,10 +177,10 @@ class Session
                       std::string name);
 
     // ---- counter tracks --------------------------------------------
-    /** Register a per-process counter probe, sampled every
+    /** Register a per-process counter: @p sampler is read every
      * options().sample_interval cycles by the owning system. */
     void addCounter(std::uint32_t pid, const std::string &name,
-                    std::function<double()> probe);
+                    std::function<double()> sampler);
 
     bool hasCounters() const { return !counters_.empty(); }
     Cycle sampleInterval() const { return opt_.sample_interval; }
@@ -228,10 +229,11 @@ class Session
 };
 
 /**
- * THE hook guard: every instrumentation site reads
+ * The guard for sites that record into a Session directly (the
+ * system's kernel and audit markers):
  *
- *     if (trace::active(trace_, trace::Category::Dram))
- *         trace_->span(...);
+ *     if (trace::active(trace_, trace::Category::Kernel))
+ *         trace_->instant(...);
  *
  * With no session attached it costs one pointer test.
  */

@@ -59,16 +59,23 @@ TEST(EngineDeterminism, TracingOnVsOffIsByteIdentical)
 {
     // Tracing must be a pure observer: a traced run (all categories,
     // counters sampled, no file written) and an untraced run of the
-    // same job serialize to byte-identical stat trees.
-    const SimJob plain = fig08Job(Preset::CarveHwc);
+    // same job serialize to byte-identical stat trees, with telemetry
+    // off and on (one instrumentation pass wires both observers). The
+    // buffer holds the whole run: trace.dropped_events differs once
+    // the ring overflows.
+    for (const bool telemetry : {false, true}) {
+        SimJob plain = fig08Job(Preset::CarveHwc);
+        plain.options.telemetry.enabled = telemetry;
 
-    SimJob traced = plain;
-    traced.options.trace.enabled = true;
-    traced.options.trace.categories = trace::all_categories;
-    traced.options.trace.buffer_capacity = std::size_t{1} << 21;
-    traced.options.trace.sample_interval = 1000;
+        SimJob traced = plain;
+        traced.options.trace.enabled = true;
+        traced.options.trace.categories = trace::all_categories;
+        traced.options.trace.buffer_capacity = std::size_t{1} << 21;
+        traced.options.trace.sample_interval = 1000;
 
-    EXPECT_EQ(statBytes(plain), statBytes(traced));
+        EXPECT_EQ(statBytes(plain), statBytes(traced))
+            << "telemetry=" << telemetry;
+    }
 }
 
 // ---- SimJob API ---------------------------------------------------

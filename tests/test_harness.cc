@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -16,7 +15,6 @@
 #include "harness/json.hh"
 #include "harness/results_io.hh"
 #include "harness/sweep.hh"
-#include "harness/thread_pool.hh"
 #include "sim_test_util.hh"
 
 namespace carve {
@@ -193,17 +191,6 @@ TEST_F(HarnessTest, PresetNameParsing)
     EXPECT_EQ(parsePresetName("Ideal-NUMA-GPU"), Preset::Ideal);
     ScopedErrorCapture capture;
     EXPECT_THROW(parsePresetName("nonsense"), SimAbortError);
-}
-
-// ---- thread pool ---------------------------------------------------
-
-TEST_F(HarnessTest, ParallelForCoversEveryIndexExactlyOnce)
-{
-    std::vector<std::atomic<int>> hits(257);
-    parallelFor(hits.size(), 4,
-                [&](std::size_t i) { ++hits[i]; });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
 }
 
 // ---- sweep determinism (satellite a) -------------------------------

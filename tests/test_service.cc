@@ -88,6 +88,40 @@ connectRetry(const std::string &sock)
     return std::nullopt;
 }
 
+/**
+ * Runs Server::serve() on its own thread for one test scope. The
+ * destructor drains before it joins, so a failed ASSERT that returns
+ * early ends the test instead of leaving serve() running and the
+ * binary hung. Draining a server whose serve() already returned is
+ * harmless (one byte on a pipe).
+ */
+class ServingThread
+{
+  public:
+    explicit ServingThread(Server &server)
+        : server_(server), thread_([&server] { server.serve(); })
+    {}
+
+    ServingThread(const ServingThread &) = delete;
+    ServingThread &operator=(const ServingThread &) = delete;
+
+    ~ServingThread() { drainAndJoin(); }
+
+    /** Drain the server and wait for serve() to return. */
+    void
+    drainAndJoin()
+    {
+        if (!thread_.joinable())
+            return;
+        server_.requestDrain();
+        thread_.join();
+    }
+
+  private:
+    Server &server_;
+    std::thread thread_;
+};
+
 // ---- job identity --------------------------------------------------
 
 TEST_F(ServiceTest, JobKeyIgnoresOverrideApplicationOrder)
@@ -361,7 +395,7 @@ TEST_F(ServiceTest, ServerMemoizesAndServesByteIdenticalRecords)
 
     {
         Server server(opt);
-        std::jthread serving([&] { server.serve(); });
+        ServingThread serving(server);
         auto client = connectRetry(opt.socket_path);
         ASSERT_TRUE(client.has_value());
 
@@ -413,8 +447,7 @@ TEST_F(ServiceTest, ServerMemoizesAndServesByteIdenticalRecords)
         EXPECT_EQ(st.at("completed").asInt(), 1);
         EXPECT_GE(st.at("cache").at("stores").asInt(), 1);
 
-        server.requestDrain();
-        serving.join();
+        serving.drainAndJoin();
         EXPECT_FALSE(
             std::filesystem::exists(opt.socket_path))
             << "drain must remove the socket file";
@@ -424,7 +457,7 @@ TEST_F(ServiceTest, ServerMemoizesAndServesByteIdenticalRecords)
     // resubmission without re-simulating, byte-identically.
     {
         Server server(opt);
-        std::jthread serving([&] { server.serve(); });
+        ServingThread serving(server);
         auto client = connectRetry(opt.socket_path);
         ASSERT_TRUE(client.has_value());
 
@@ -441,8 +474,7 @@ TEST_F(ServiceTest, ServerMemoizesAndServesByteIdenticalRecords)
             << "nothing may have been simulated after the restart";
         EXPECT_GE(st.at("cache").at("hits").asInt(), 1);
 
-        server.requestDrain();
-        serving.join();
+        serving.drainAndJoin();
     }
 }
 
@@ -456,7 +488,7 @@ TEST_F(ServiceTest, TelemetryJobIsServedByteIdentically)
     opt.quiet = true;
 
     Server server(opt);
-    std::jthread serving([&] { server.serve(); });
+    ServingThread serving(server);
     auto client = connectRetry(opt.socket_path);
     ASSERT_TRUE(client.has_value());
 
@@ -471,8 +503,7 @@ TEST_F(ServiceTest, TelemetryJobIsServedByteIdentically)
     // Histogram stats exist only with telemetry on.
     EXPECT_NE(r.record_json.find(".p99\""), std::string::npos);
 
-    server.requestDrain();
-    serving.join();
+    serving.drainAndJoin();
 }
 
 TEST_F(ServiceTest, ServerHandlesFailedRunsAndBadRequests)
@@ -485,7 +516,7 @@ TEST_F(ServiceTest, ServerHandlesFailedRunsAndBadRequests)
     opt.quiet = true;
 
     Server server(opt);
-    std::jthread serving([&] { server.serve(); });
+    ServingThread serving(server);
     auto client = connectRetry(opt.socket_path);
     ASSERT_TRUE(client.has_value());
 
@@ -546,8 +577,7 @@ TEST_F(ServiceTest, ServerHandlesFailedRunsAndBadRequests)
     const json::Value st2 = client->stats();
     EXPECT_TRUE(st2.at("ok").asBool());
 
-    server.requestDrain();
-    serving.join();
+    serving.drainAndJoin();
 }
 
 TEST_F(ServiceTest, DeeplyNestedRequestLeavesTheServerUp)
@@ -560,7 +590,7 @@ TEST_F(ServiceTest, DeeplyNestedRequestLeavesTheServerUp)
     opt.quiet = true;
 
     Server server(opt);
-    std::jthread serving([&] { server.serve(); });
+    ServingThread serving(server);
     ASSERT_TRUE(connectRetry(opt.socket_path).has_value());
 
     // This line used to overflow the parser's stack and kill the
@@ -579,8 +609,7 @@ TEST_F(ServiceTest, DeeplyNestedRequestLeavesTheServerUp)
     // A new connection still gets an answer to ping.
     EXPECT_TRUE(Client::connect(opt.socket_path).has_value());
 
-    server.requestDrain();
-    serving.join();
+    serving.drainAndJoin();
 }
 
 TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
@@ -596,7 +625,7 @@ TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
 
     {
         Server server(opt);
-        std::jthread serving([&] { server.serve(); });
+        ServingThread serving(server);
         auto client = connectRetry(opt.socket_path);
         ASSERT_TRUE(client.has_value());
         const SubmitReply s = client->submit(job);
@@ -604,8 +633,7 @@ TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
         const ResultReply r = client->result(s.id);
         ASSERT_TRUE(r.ok) << r.error;
         first_record = r.record_json;
-        server.requestDrain();
-        serving.join();
+        serving.drainAndJoin();
     }
 
     // Cut the stored record in half, as a full disk or a crash in a
@@ -617,7 +645,7 @@ TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
                                  std::filesystem::file_size(entry) / 2);
 
     Server server(opt);
-    std::jthread serving([&] { server.serve(); });
+    ServingThread serving(server);
     auto client = connectRetry(opt.socket_path);
     ASSERT_TRUE(client.has_value());
     const SubmitReply s = client->submit(job);
@@ -652,8 +680,7 @@ TEST_F(ServiceTest, TruncatedCacheEntryFailsOnlyItsResult)
     const std::string stored{std::istreambuf_iterator<char>(is), {}};
     EXPECT_EQ(stored, first_record);
 
-    server.requestDrain();
-    serving.join();
+    serving.drainAndJoin();
 }
 
 TEST_F(ServiceTest, ServerAppliesBackpressureAndCancellation)
@@ -667,7 +694,7 @@ TEST_F(ServiceTest, ServerAppliesBackpressureAndCancellation)
     opt.quiet = true;
 
     Server server(opt);
-    std::jthread serving([&] { server.serve(); });
+    ServingThread serving(server);
     auto client = connectRetry(opt.socket_path);
     ASSERT_TRUE(client.has_value());
 
@@ -717,8 +744,7 @@ TEST_F(ServiceTest, ServerAppliesBackpressureAndCancellation)
     const ResultReply r1 = client->result(s1.id);
     ASSERT_TRUE(r1.ok) << r1.error;
 
-    server.requestDrain();
-    serving.join();
+    serving.drainAndJoin();
 }
 
 TEST_F(ServiceTest, MetricsOpAnswersPrometheusTextExposition)
@@ -731,7 +757,7 @@ TEST_F(ServiceTest, MetricsOpAnswersPrometheusTextExposition)
     opt.quiet = true;
 
     Server server(opt);
-    std::jthread serving([&] { server.serve(); });
+    ServingThread serving(server);
     auto client = connectRetry(opt.socket_path);
     ASSERT_TRUE(client.has_value());
 
@@ -793,8 +819,7 @@ TEST_F(ServiceTest, MetricsOpAnswersPrometheusTextExposition)
     EXPECT_GT(st.at("uptime_seconds").asDouble(), 0.0);
     EXPECT_FALSE(st.at("draining").asBool());
 
-    server.requestDrain();
-    serving.join();
+    serving.drainAndJoin();
 }
 
 } // namespace

@@ -2,11 +2,12 @@
  *
  * Unit coverage for the ring-buffer sink (wraparound drops oldest
  * first and is accounted), the category machinery (parse + runtime
- * masking), the log-observer bridge, and the Chrome trace-event
- * exporter (output parses and carries the registered rows). Plus one
- * end-to-end run through the SimJob API proving a traced simulation
+ * masking), probes (both sinks, mask resolved when wired), the
+ * log-observer bridge, and the Chrome trace-event exporter (output
+ * parses and carries the registered rows). Plus
+ * end-to-end runs through the SimJob API proving a traced simulation
  * emits SM/DRAM/link spans, kernel markers and at least three counter
- * tracks for every GPU.
+ * tracks for every GPU, and that telemetry leaves the trace unchanged.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "core/simulator.hh"
 #include "harness/json.hh"
 #include "trace/chrome_export.hh"
+#include "trace/probe.hh"
 #include "trace/trace.hh"
 #include "workloads/suite.hh"
 
@@ -107,6 +109,59 @@ TEST(TraceCategories, ActiveHonoursMaskAndNullSession)
     EXPECT_TRUE(trace::active(&s, trace::Category::Dram));
     EXPECT_FALSE(trace::active(&s, trace::Category::Sm));
     EXPECT_FALSE(trace::active(nullptr, trace::Category::Dram));
+}
+
+// ---- probes --------------------------------------------------------
+
+TEST(TraceProbe, FeedsBothSinksAndResolvesTheMaskWhenWired)
+{
+    using trace::Probe;
+    trace::Options opt = smallOpts(16);
+    opt.categories = trace::parseCategoryList("cache");
+    trace::Session s(opt);
+    telemetry::Histogram h;
+
+    const Probe none;
+    EXPECT_FALSE(none.on());
+    none.span(0, 10);
+    none.instant(5);
+
+    const std::uint32_t track = trace::makeTrack(1, 100);
+    const Probe both(&s, trace::Category::Cache, track, "l2 miss", &h);
+    EXPECT_TRUE(both.on());
+    EXPECT_EQ(both.histogram(), &h);
+    both.span(10, 25, 0x40);
+    both.instant(30, 7);  // instants reach the trace row only
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_EQ(h.sum(), 15u);
+
+    // A masked category leaves the histogram as the only sink; with
+    // no histogram either, nothing listens.
+    const Probe masked(&s, trace::Category::Sm, track, "read mem", &h);
+    EXPECT_TRUE(masked.on());
+    masked.span(40, 44);
+    masked.instant(44);
+    EXPECT_EQ(h.count(), 2u);
+    EXPECT_FALSE(Probe(&s, trace::Category::Sm, track, "x").on());
+    EXPECT_FALSE(Probe(nullptr, trace::Category::Cache, track, "x").on());
+    EXPECT_TRUE(Probe(&h).on());
+    EXPECT_FALSE(Probe(nullptr).on());
+    EXPECT_TRUE(Probe(trace::histogramIf(true, h)).on());
+    EXPECT_FALSE(Probe(trace::histogramIf(false, h)).on());
+
+    std::vector<trace::Event> evs;
+    s.forEach([&](const trace::Event &e) { evs.push_back(e); });
+    ASSERT_EQ(evs.size(), 2u);
+    EXPECT_EQ(evs[0].kind, trace::EventKind::Span);
+    EXPECT_EQ(evs[0].cat, trace::Category::Cache);
+    EXPECT_EQ(evs[0].track, track);
+    EXPECT_STREQ(evs[0].name, "l2 miss");
+    EXPECT_EQ(evs[0].ts, 10u);
+    EXPECT_EQ(evs[0].dur, 15u);
+    EXPECT_EQ(evs[0].arg, 0x40u);
+    EXPECT_EQ(evs[1].kind, trace::EventKind::Instant);
+    EXPECT_EQ(evs[1].ts, 30u);
+    EXPECT_EQ(evs[1].arg, 7u);
 }
 
 // ---- counters and the log bridge -----------------------------------
@@ -216,6 +271,23 @@ TEST(TraceExport, EscapesControlCharactersInLabels)
 
 // ---- end to end ----------------------------------------------------
 
+/** Read the exported trace at @p path and delete the file. */
+std::string
+takeTraceFile(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return "";
+    std::string text;
+    char buf[65536];
+    std::size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        text.append(buf, got);
+    std::fclose(f);
+    std::remove(path.c_str());
+    return text;
+}
+
 SimJob
 tracedJob(const std::string &out_path)
 {
@@ -241,16 +313,8 @@ TEST(TraceEndToEnd, TracedRunExportsFullTimeline)
     const SimResult res = run(tracedJob(path));
     EXPECT_GT(res.cycles, 0u);
 
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::string text;
-    char buf[65536];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    std::remove(path.c_str());
-
+    const std::string text = takeTraceFile(path);
+    ASSERT_FALSE(text.empty());
     const json::Value doc = json::parse(text, "trace");
     EXPECT_EQ(doc.at("otherData").at("preset").asString(),
               "CARVE-HWC");
@@ -308,16 +372,8 @@ TEST(TraceEndToEnd, CategoryMaskFiltersComponents)
     job.options.trace.out_path = path;
     (void)run(job);
 
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::string text;
-    char buf[65536];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    std::remove(path.c_str());
-
+    const std::string text = takeTraceFile(path);
+    ASSERT_FALSE(text.empty());
     const json::Value doc = json::parse(text, "trace");
     bool saw_kernel = false;
     for (const json::Value &ev : doc.at("traceEvents").asArray()) {
@@ -328,6 +384,26 @@ TEST(TraceEndToEnd, CategoryMaskFiltersComponents)
         saw_kernel = true;
     }
     EXPECT_TRUE(saw_kernel);
+}
+
+TEST(TraceEndToEnd, TelemetryLeavesTheTraceByteIdentical)
+{
+    // Trace and telemetry are independent observers that one
+    // instrumentation pass wires: turning telemetry on must not add,
+    // drop or move a single exported trace event.
+    std::string text[2];
+    for (const bool telemetry : {false, true}) {
+        const std::string path = testing::TempDir() + "carve_telem" +
+            std::to_string(telemetry) + ".trace.json";
+        SimJob job = tracedJob(path);
+        job.options.telemetry.enabled = telemetry;
+        (void)run(job);
+        text[telemetry] = takeTraceFile(path);
+    }
+    ASSERT_FALSE(text[0].empty());
+    EXPECT_TRUE(text[0] == text[1])
+        << "telemetry changed the trace (" << text[0].size() << " vs "
+        << text[1].size() << " bytes)";
 }
 
 } // namespace
