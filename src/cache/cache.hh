@@ -103,23 +103,21 @@ class Cache
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("probes", &probes_, "read + write probes");
-        g.addScalar("hits", &hits_, "read/write probe hits");
-        g.addScalar("misses", &misses_, "read probe misses");
-        g.addScalar("evictions", &evictions_,
-                    "valid lines displaced by fills");
-        g.addDerived("hit_rate", [this] { return hitRate(); },
-                     "hits / (hits + misses)");
+        g.addScalar("probes", &probes_);
+        g.addScalar("hits", &hits_);
+        g.addScalar("misses", &misses_);
+        g.addScalar("evictions", &evictions_);
+        g.addDerived("hit_rate", [this] { return hitRate(); });
     }
 
   private:
     std::string name_;
     Cycle hit_latency_;
     TagArray tags_;
-    stats::Scalar probes_;
+    stats::Scalar probes_;     ///< read + write probes
     stats::Scalar hits_;
     stats::Scalar misses_;
-    stats::Scalar evictions_;
+    stats::Scalar evictions_;  ///< valid lines displaced by fills
 };
 
 } // namespace carve

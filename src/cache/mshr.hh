@@ -113,12 +113,9 @@ class MshrFile
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("merges", &merges_,
-                    "misses merged behind an in-flight line");
-        g.addScalar("rejections", &rejections_,
-                    "allocations rejected because the file was full");
-        g.addScalar("parks", &parks_,
-                    "requests parked on the wake-list (incl. re-parks)");
+        g.addScalar("merges", &merges_);
+        g.addScalar("rejections", &rejections_);
+        g.addScalar("parks", &parks_);
     }
 
     /**

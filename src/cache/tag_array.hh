@@ -101,10 +101,7 @@ class TagArray
         }
     }
 
-    /** Full line address of a resident line. */
-    Addr lineAddr(LineIdx i) const { return tags_[i]; }
     bool isDirty(LineIdx i) const { return flags_[i] & kDirty; }
-    bool isRemote(LineIdx i) const { return flags_[i] & kRemote; }
 
     void
     setDirty(LineIdx i, bool dirty)
@@ -117,7 +114,6 @@ class TagArray
 
     std::uint64_t numSets() const { return sets_; }
     unsigned numWays() const { return ways_; }
-    std::uint64_t lineSize() const { return line_size_; }
 
     /** Count of currently valid lines (O(capacity); tests only). */
     std::uint64_t validCount() const;

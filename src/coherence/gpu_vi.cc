@@ -66,11 +66,9 @@ GpuVi::writesFiltered() const
 void
 GpuVi::registerStats(stats::StatGroup &g)
 {
-    g.addScalar("invalidates_sent", &invalidates_sent_.scalar(),
-                "write-invalidate packets broadcast");
+    g.addScalar("invalidates_sent", &invalidates_sent_.scalar());
     g.addDerivedInt("writes_filtered",
-                    [this] { return writesFiltered(); },
-                    "broadcasts suppressed by the IMST");
+                    [this] { return writesFiltered(); });
     for (std::size_t h = 0; h < imsts_.size(); ++h) {
         auto child = std::make_unique<stats::StatGroup>(
             "imst" + std::to_string(h), &g);

@@ -101,7 +101,7 @@ class GpuVi
 
     /** Incremented from whichever home domain observes the write, so
      * sharded per executing domain and folded at barriers. */
-    ShardedScalar invalidates_sent_;
+    ShardedScalar invalidates_sent_;  ///< write-invalidate packets sent
 };
 
 } // namespace carve

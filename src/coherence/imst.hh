@@ -96,12 +96,9 @@ class Imst
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("shared_writes", &shared_writes_,
-                    "writes that required a broadcast");
-        g.addScalar("filtered_writes", &filtered_writes_,
-                    "writes filtered as private/uncached");
-        g.addScalar("demotions", &demotions_,
-                    "probabilistic demotions to Private");
+        g.addScalar("shared_writes", &shared_writes_);
+        g.addScalar("filtered_writes", &filtered_writes_);
+        g.addScalar("demotions", &demotions_);
     }
 
   private:
@@ -116,9 +113,9 @@ class Imst
     Rng rng_;
     std::unordered_map<Addr, LineState> states_;
 
-    stats::Scalar shared_writes_;
-    stats::Scalar filtered_writes_;
-    stats::Scalar demotions_;
+    stats::Scalar shared_writes_;    ///< writes that required a broadcast
+    stats::Scalar filtered_writes_;  ///< filtered as private/uncached
+    stats::Scalar demotions_;  ///< probabilistic demotions to Private
 };
 
 } // namespace carve

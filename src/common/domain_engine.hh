@@ -156,8 +156,6 @@ class DomainEngine
     SimEngine mode() const { return mode_; }
     unsigned threads() const { return threads_; }
 
-    /** Start tick of the current window (== last completed barrier). */
-    Cycle barrierTick() const { return barrier_tick_; }
 
     /**
      * The executing context's current time: the running domain's queue

@@ -27,7 +27,6 @@ struct LibNuma
     void (*numa_free)(void *, std::size_t) = nullptr;
 
     bool ok = false;
-    const char *status = "unavailable (not initialized)";
 };
 
 const LibNuma &
@@ -37,10 +36,8 @@ lib()
     static std::once_flag once;
     std::call_once(once, [] {
         void *h = dlopen("libnuma.so.1", RTLD_NOW | RTLD_LOCAL);
-        if (!h) {
-            l.status = "unavailable (libnuma.so.1 not found)";
+        if (!h)
             return;
-        }
         const auto sym = [h](const char *n) {
             return dlsym(h, n);
         };
@@ -60,16 +57,9 @@ lib()
         l.numa_free = reinterpret_cast<void (*)(void *, std::size_t)>(
             sym("numa_free"));
         if (!l.numa_available || !l.num_configured_nodes ||
-            !l.alloc_onnode || !l.numa_free) {
-            l.status = "unavailable (libnuma symbols missing)";
+            !l.alloc_onnode || !l.numa_free)
             return;
-        }
-        if (l.numa_available() < 0) {
-            l.status = "unavailable (kernel reports no NUMA)";
-            return;
-        }
-        l.ok = true;
-        l.status = "libnuma loaded";
+        l.ok = l.numa_available() >= 0;
     });
     return l;
 }
@@ -135,11 +125,6 @@ freeOnNode(void *p, std::size_t bytes)
         l.numa_free(p, bytes);
 }
 
-const char *
-statusString()
-{
-    return lib().status;
-}
 
 #else // !CARVE_NUMA_ENABLED
 
@@ -178,11 +163,6 @@ freeOnNode(void *, std::size_t)
 {
 }
 
-const char *
-statusString()
-{
-    return "unavailable (compiled out)";
-}
 
 #endif // CARVE_NUMA_ENABLED
 

@@ -43,10 +43,6 @@ void *allocOnNode(std::size_t bytes, int node);
 /** Free memory obtained from allocOnNode (size must match). */
 void freeOnNode(void *p, std::size_t bytes);
 
-/** One-line status for logs: "libnuma: 2 nodes" / "unavailable
- * (compiled out)" / "unavailable (libnuma.so.1 not found)". */
-const char *statusString();
-
 } // namespace hostnuma
 } // namespace carve
 

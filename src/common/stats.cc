@@ -1,7 +1,7 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <iomanip>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -18,15 +18,6 @@ splitHead(std::string_view dotted)
     if (dot == std::string_view::npos)
         return {dotted, std::string_view{}};
     return {dotted.substr(0, dot), dotted.substr(dot + 1)};
-}
-
-template <typename T>
-void
-sortByName(std::vector<T> &v)
-{
-    std::sort(v.begin(), v.end(), [](const T &a, const T &b) {
-        return a.name < b.name;
-    });
 }
 
 } // namespace
@@ -58,47 +49,40 @@ StatGroup::checkName(const std::string &name) const
 }
 
 void
-StatGroup::addScalar(const std::string &name, Scalar *s,
-                     const std::string &desc)
+StatGroup::addScalar(const std::string &name, Scalar *s)
 {
     checkName(name);
-    scalars_.push_back({name, desc, s});
+    scalars_.push_back({name, s});
 }
 
 void
-StatGroup::addAverage(const std::string &name, Average *a,
-                      const std::string &desc)
+StatGroup::addAverage(const std::string &name, Average *a)
 {
     checkName(name);
-    averages_.push_back({name, desc, a});
+    averages_.push_back({name, a});
 }
 
 void
-StatGroup::addHistogram(const std::string &name,
-                        telemetry::Histogram *h,
-                        const std::string &desc)
+StatGroup::addHistogram(const std::string &name, telemetry::Histogram *h)
 {
     checkName(name);
-    histograms_.push_back({name, desc, h});
+    histograms_.push_back({name, h});
 }
 
 void
-StatGroup::addDerived(const std::string &name,
-                      std::function<double()> fn,
-                      const std::string &desc)
+StatGroup::addDerived(const std::string &name, std::function<double()> fn)
 {
     checkName(name);
-    derived_.push_back({name, desc, std::move(fn), false});
+    derived_.push_back({name, std::move(fn), false});
 }
 
 void
 StatGroup::addDerivedInt(const std::string &name,
-                         std::function<std::uint64_t()> fn,
-                         const std::string &desc)
+                         std::function<std::uint64_t()> fn)
 {
     checkName(name);
     derived_.push_back(
-        {name, desc,
+        {name,
          [f = std::move(fn)]() {
              return static_cast<double>(f());
          },
@@ -116,220 +100,47 @@ StatGroup::fullName() const
     return prefix + "." + name_;
 }
 
-std::vector<const StatGroup *>
-StatGroup::sortedChildren() const
-{
-    std::vector<const StatGroup *> out(children_.begin(),
-                                       children_.end());
-    std::sort(out.begin(), out.end(),
-              [](const StatGroup *a, const StatGroup *b) {
-                  return a->name_ < b->name_;
-              });
-    return out;
-}
-
 void
-StatGroup::visit(const Visitor &v) const
+StatGroup::appendFlat(std::vector<FlatStat> &out,
+                      const std::string &full) const
 {
-    const std::string prefix =
-        fullName().empty() ? "" : fullName() + ".";
-
-    auto sorted = [](const auto &src) {
-        auto copy = src;
-        sortByName(copy);
-        return copy;
-    };
-
-    if (v.scalar)
-        for (const auto &s : sorted(scalars_))
-            v.scalar(prefix + s.name, *s.stat, s.desc);
-    if (v.average)
-        for (const auto &a : sorted(averages_))
-            v.average(prefix + a.name, *a.stat, a.desc);
-    if (v.histogram)
-        for (const auto &h : sorted(histograms_))
-            v.histogram(prefix + h.name, *h.stat, h.desc);
-    if (v.derived)
-        for (const auto &d : sorted(derived_))
-            v.derived(prefix + d.name, d.fn(), d.integral, d.desc);
-
-    for (const auto *child : sortedChildren())
-        child->visit(v);
-}
-
-const Scalar *
-StatGroup::findScalar(std::string_view dotted) const
-{
-    const auto [head, rest] = splitHead(dotted);
-    if (rest.empty()) {
-        for (const auto &s : scalars_)
-            if (s.name == head)
-                return s.stat;
-        return nullptr;
+    const std::string prefix = full.empty() ? "" : full + ".";
+    for (const auto &s : scalars_)
+        out.push_back({prefix + s.name, true, s.stat->value(), 0.0});
+    for (const auto &a : averages_) {
+        out.push_back({prefix + a.name + ".count", true, a.stat->count(),
+                       0.0});
+        out.push_back({prefix + a.name + ".sum", false, 0, a.stat->sum()});
     }
-    for (const auto *child : children_)
-        if (child->name_ == head)
-            return child->findScalar(rest);
-    return nullptr;
-}
-
-const Average *
-StatGroup::findAverage(std::string_view dotted) const
-{
-    const auto [head, rest] = splitHead(dotted);
-    if (rest.empty()) {
-        for (const auto &a : averages_)
-            if (a.name == head)
-                return a.stat;
-        return nullptr;
+    for (const auto &h : histograms_) {
+        const telemetry::Histogram &hist = *h.stat;
+        const std::string name = prefix + h.name;
+        out.push_back({name + ".count", true, hist.count(), 0.0});
+        out.push_back({name + ".max", true, hist.max(), 0.0});
+        out.push_back({name + ".p50", true, hist.percentile(50), 0.0});
+        out.push_back({name + ".p95", true, hist.percentile(95), 0.0});
+        out.push_back({name + ".p99", true, hist.percentile(99), 0.0});
+        out.push_back({name + ".sum", true, hist.sum(), 0.0});
     }
-    for (const auto *child : children_)
-        if (child->name_ == head)
-            return child->findAverage(rest);
-    return nullptr;
-}
-
-const telemetry::Histogram *
-StatGroup::findHistogram(std::string_view dotted) const
-{
-    const auto [head, rest] = splitHead(dotted);
-    if (rest.empty()) {
-        for (const auto &h : histograms_)
-            if (h.name == head)
-                return h.stat;
-        return nullptr;
-    }
-    for (const auto *child : children_)
-        if (child->name_ == head)
-            return child->findHistogram(rest);
-    return nullptr;
-}
-
-const StatGroup *
-StatGroup::findGroup(std::string_view dotted) const
-{
-    const auto [head, rest] = splitHead(dotted);
-    for (const auto *child : children_) {
-        if (child->name_ != head)
-            continue;
-        return rest.empty() ? child : child->findGroup(rest);
-    }
-    return nullptr;
-}
-
-std::optional<double>
-StatGroup::findValue(std::string_view dotted) const
-{
-    const auto [head, rest] = splitHead(dotted);
-    if (rest.empty()) {
-        for (const auto &s : scalars_)
-            if (s.name == head)
-                return static_cast<double>(s.stat->value());
-        for (const auto &d : derived_)
-            if (d.name == head)
-                return d.fn();
-        return std::nullopt;
-    }
-    for (const auto *child : children_)
-        if (child->name_ == head)
-            return child->findValue(rest);
-    return std::nullopt;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    const std::string prefix =
-        fullName().empty() ? "" : fullName() + ".";
-
-    auto sorted = [](const auto &src) {
-        auto copy = src;
-        sortByName(copy);
-        return copy;
-    };
-
-    for (const auto &s : sorted(scalars_)) {
-        os << prefix << s.name << " = " << s.stat->value();
-        if (!s.desc.empty())
-            os << "  # " << s.desc;
-        os << "\n";
-    }
-    for (const auto &a : sorted(averages_)) {
-        os << prefix << a.name << " = " << std::setprecision(6)
-           << a.stat->mean() << " (n=" << a.stat->count() << ")";
-        if (!a.desc.empty())
-            os << "  # " << a.desc;
-        os << "\n";
-    }
-    for (const auto &h : sorted(histograms_)) {
-        os << prefix << h.name << " = p50 " << h.stat->percentile(50)
-           << ", p99 " << h.stat->percentile(99) << ", max "
-           << h.stat->max() << ", n " << h.stat->count();
-        if (!h.desc.empty())
-            os << "  # " << h.desc;
-        os << "\n";
-    }
-    for (const auto &d : sorted(derived_)) {
-        const double v = d.fn();
-        os << prefix << d.name << " = ";
+    for (const auto &d : derived_) {
+        const double value = d.fn();
         if (d.integral)
-            os << static_cast<std::uint64_t>(v);
+            out.push_back({prefix + d.name, true,
+                           static_cast<std::uint64_t>(value), 0.0});
         else
-            os << std::setprecision(6) << v;
-        if (!d.desc.empty())
-            os << "  # " << d.desc;
-        os << "\n";
+            out.push_back({prefix + d.name, false, 0, value});
     }
-    for (const auto *child : sortedChildren())
-        child->dump(os);
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &s : scalars_)
-        s.stat->reset();
-    for (auto &a : averages_)
-        a.stat->reset();
-    for (auto &h : histograms_)
-        h.stat->reset();
-    for (auto *child : children_)
-        child->resetAll();
+    for (const StatGroup *child : children_)
+        child->appendFlat(out, prefix + child->name_);
 }
 
 std::vector<FlatStat>
 flattenStats(const StatGroup &root)
 {
+    // No two entries share a name, so one sort of the whole list
+    // fixes the order no matter how the tree was registered.
     std::vector<FlatStat> out;
-    StatGroup::Visitor v;
-    v.scalar = [&](const std::string &name, const Scalar &s,
-                   const std::string &) {
-        out.push_back({name, true, s.value(), 0.0});
-    };
-    v.average = [&](const std::string &name, const Average &a,
-                    const std::string &) {
-        out.push_back({name + ".count", true, a.count(), 0.0});
-        out.push_back({name + ".sum", false, 0, a.sum()});
-    };
-    v.histogram = [&](const std::string &name,
-                      const telemetry::Histogram &h,
-                      const std::string &) {
-        out.push_back({name + ".count", true, h.count(), 0.0});
-        out.push_back({name + ".max", true, h.max(), 0.0});
-        out.push_back({name + ".p50", true, h.percentile(50), 0.0});
-        out.push_back({name + ".p95", true, h.percentile(95), 0.0});
-        out.push_back({name + ".p99", true, h.percentile(99), 0.0});
-        out.push_back({name + ".sum", true, h.sum(), 0.0});
-    };
-    v.derived = [&](const std::string &name, double value,
-                    bool integral, const std::string &) {
-        if (integral)
-            out.push_back(
-                {name, true, static_cast<std::uint64_t>(value), 0.0});
-        else
-            out.push_back({name, false, 0, value});
-    };
-    root.visit(v);
+    root.appendFlat(out, root.fullName());
     std::sort(out.begin(), out.end(),
               [](const FlatStat &a, const FlatStat &b) {
                   return a.name < b.name;
@@ -337,36 +148,23 @@ flattenStats(const StatGroup &root)
     return out;
 }
 
-ScalarSnapshot
-snapshotScalars(const StatGroup &root)
+const FlatStat *
+lookup(const std::vector<FlatStat> &flat, std::string_view name)
 {
-    ScalarSnapshot out;
-    StatGroup::Visitor v;
-    v.scalar = [&](const std::string &name, const Scalar &s,
-                   const std::string &) {
-        out.emplace_back(name, s.value());
-    };
-    root.visit(v);
-    std::sort(out.begin(), out.end());
-    return out;
+    const auto it = std::lower_bound(
+        flat.begin(), flat.end(), name,
+        [](const FlatStat &f, std::string_view n) { return f.name < n; });
+    return it != flat.end() && it->name == name ? &*it : nullptr;
 }
 
-ScalarSnapshot
-snapshotDelta(const ScalarSnapshot &before,
-              const ScalarSnapshot &after)
+std::uint64_t
+sumMatching(const std::vector<FlatStat> &flat, std::string_view pattern)
 {
-    ScalarSnapshot out;
-    out.reserve(after.size());
-    std::size_t bi = 0;
-    for (const auto &[name, value] : after) {
-        while (bi < before.size() && before[bi].first < name)
-            ++bi;
-        std::uint64_t base = 0;
-        if (bi < before.size() && before[bi].first == name)
-            base = before[bi].second;
-        out.emplace_back(name, value >= base ? value - base : 0);
-    }
-    return out;
+    std::uint64_t total = 0;
+    for (const FlatStat &f : flat)
+        if (nameMatches(pattern, f.name))
+            total += f.u64;
+    return total;
 }
 
 bool

@@ -6,12 +6,14 @@
  * register them into a StatGroup tree rooted at the owning system;
  * groups nest to form dotted names ("gpu0.l2.hits", "link.0.3.bytes"),
  * and derived stats compute their values on demand. The tree is
- * the single source of truth for every statistic in the simulator:
- * reporting (collectResult), the sweep JSON writer and the text dump
- * all derive their values from a registry walk instead of poking
- * component getters. This is a deliberately small subset of the gem5
- * stats package: enough to expose every counter the paper's figures
- * need and to make adding a metric a one-line registration.
+ * the single source of truth for every statistic in the simulator,
+ * and flattenStats() is its only read path: reporting
+ * (collectResult), the audit and the sweep JSON writer all resolve
+ * names against the flattened, sorted view with lookup() and
+ * sumMatching() instead of poking component getters. This is a
+ * deliberately small subset of the gem5 stats package: enough to
+ * expose every counter the paper's figures need and to make adding a
+ * metric a one-line registration.
  */
 
 #ifndef CARVE_COMMON_STATS_HH
@@ -20,11 +22,8 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "telemetry/histogram.hh"
@@ -47,9 +46,6 @@ class Scalar
     std::uint64_t value() const { return value_; }
     /** Scalars read as plain counters in arithmetic and comparisons. */
     operator std::uint64_t() const { return value_; }
-
-    /** Reset to zero (used between measurement phases). */
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -85,8 +81,6 @@ class Average
         return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
     }
 
-    void reset() { sum_ = 0.0; count_ = 0; }
-
   private:
     double sum_ = 0.0;
     std::uint64_t count_ = 0;
@@ -114,24 +108,6 @@ struct FlatStat
     }
 };
 
-/** Scalar values by full name, sorted by name. */
-using ScalarSnapshot =
-    std::vector<std::pair<std::string, std::uint64_t>>;
-
-/**
- * Per-kernel measurement phase: the increase of every scalar counter
- * between two kernel boundaries, so benches can separate warmup
- * kernels from steady state without resetting live counters.
- */
-struct EpochPhase
-{
-    std::uint32_t index = 0;        ///< kernel id of this phase
-    std::uint64_t start_cycle = 0;
-    std::uint64_t end_cycle = 0;
-    /** Counter increase during the phase, sorted by name. */
-    ScalarSnapshot deltas;
-};
-
 /**
  * Named collection of statistics. Groups nest to form dotted names
  * (e.g., "gpu0.l2.hits"). Registered names must not contain '.'
@@ -150,26 +126,20 @@ class StatGroup
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    /** Register a scalar under @p name. Pointers must outlive dump(). */
-    void addScalar(const std::string &name, Scalar *s,
-                   const std::string &desc = "");
+    /** Register a scalar under @p name. The pointer must outlive
+     * every flattenStats() of the tree. */
+    void addScalar(const std::string &name, Scalar *s);
     /** Register an average under @p name. */
-    void addAverage(const std::string &name, Average *a,
-                    const std::string &desc = "");
+    void addAverage(const std::string &name, Average *a);
     /** Register a telemetry log2 histogram under @p name. Rendered
      * with deterministic p50/p95/p99 (see telemetry::Histogram). */
-    void addHistogram(const std::string &name,
-                      telemetry::Histogram *h,
-                      const std::string &desc = "");
+    void addHistogram(const std::string &name, telemetry::Histogram *h);
     /** Register a derived statistic computed on demand from @p fn
-     * (ratios, gauges over component state). Never reset. */
-    void addDerived(const std::string &name,
-                    std::function<double()> fn,
-                    const std::string &desc = "");
+     * (ratios, gauges over component state). */
+    void addDerived(const std::string &name, std::function<double()> fn);
     /** Derived statistic whose value is an exact integer. */
     void addDerivedInt(const std::string &name,
-                       std::function<std::uint64_t()> fn,
-                       const std::string &desc = "");
+                       std::function<std::uint64_t()> fn);
 
     /** Fully qualified dotted name of this group. */
     std::string fullName() const;
@@ -177,73 +147,27 @@ class StatGroup
     /** Leaf name of this group. */
     const std::string &name() const { return name_; }
 
-    /**
-     * Registry walk callbacks. Any member may be empty. Within a
-     * group the walk visits scalars, averages, histograms, then
-     * derived stats — each kind sorted by name — and then recurses
-     * into children sorted by name, so the visit order is a pure
-     * function of the registered names, never of construction order.
-     */
-    struct Visitor
-    {
-        std::function<void(const std::string &full_name,
-                           const Scalar &, const std::string &desc)>
-            scalar;
-        std::function<void(const std::string &full_name,
-                           const Average &, const std::string &desc)>
-            average;
-        std::function<void(const std::string &full_name,
-                           const telemetry::Histogram &,
-                           const std::string &desc)>
-            histogram;
-        /** @p integral mirrors addDerivedInt vs addDerived. */
-        std::function<void(const std::string &full_name, double value,
-                           bool integral, const std::string &desc)>
-            derived;
-    };
-
-    /** Walk this group and all children in deterministic order. */
-    void visit(const Visitor &v) const;
-
-    /** Look up a stat by dotted name relative to this group
-     * ("gpu0.l2.hits" on the root). nullptr when absent. */
-    const Scalar *findScalar(std::string_view dotted) const;
-    const Average *findAverage(std::string_view dotted) const;
-    const telemetry::Histogram *
-    findHistogram(std::string_view dotted) const;
-    /** Child group by dotted name; nullptr when absent. */
-    const StatGroup *findGroup(std::string_view dotted) const;
-    /** Value of a scalar or derived stat by dotted name. */
-    std::optional<double> findValue(std::string_view dotted) const;
-
-    /** Render this group and all children as name=value lines, every
-     * level sorted by name (byte-stable regardless of construction
-     * order). */
-    void dump(std::ostream &os) const;
-
-    /** Reset every registered stat in this group and children
-     * (derived stats have no state and are unaffected). */
-    void resetAll();
-
   private:
+    friend std::vector<FlatStat> flattenStats(const StatGroup &root);
+
     template <typename T>
     struct Named
     {
         std::string name;
-        std::string desc;
         T *stat;
     };
     struct NamedDerived
     {
         std::string name;
-        std::string desc;
         std::function<double()> fn;
         bool integral;
     };
 
     void checkName(const std::string &name) const;
-    /** Children sorted by name (children_ keeps insertion order). */
-    std::vector<const StatGroup *> sortedChildren() const;
+    /** Append every stat of this group and its children, named under
+     * @p full (this group's full name), in registration order. */
+    void appendFlat(std::vector<FlatStat> &out,
+                    const std::string &full) const;
 
     std::string name_;
     StatGroup *parent_;
@@ -256,21 +180,22 @@ class StatGroup
 
 /**
  * Render the whole registry flat: every stat as (full name, value),
- * sorted by name. This is the representation embedded in sweep
- * results (schema v2) and consumed by collectResult().
+ * sorted by name. Every read of the registry goes through this view:
+ * sweep results (schema v2) embed it, and collectResult() and the
+ * audit resolve names against it. The order is a pure function of
+ * the registered names, never of registration order.
  */
 std::vector<FlatStat> flattenStats(const StatGroup &root);
 
-/** Capture every scalar counter's current value, sorted by name. */
-ScalarSnapshot snapshotScalars(const StatGroup &root);
+/** Exact-name binary search over a flattened tree (sorted by name,
+ * as flattenStats() returns it). nullptr when absent. */
+const FlatStat *lookup(const std::vector<FlatStat> &flat,
+                       std::string_view name);
 
-/**
- * Per-name difference @p after - @p before (both sorted by name).
- * Names present only in @p after are reported at full value; names
- * that disappeared are dropped (stats never unregister mid-run).
- */
-ScalarSnapshot snapshotDelta(const ScalarSnapshot &before,
-                             const ScalarSnapshot &after);
+/** Sum of the integral values of every entry whose name matches
+ * @p pattern (see nameMatches()). */
+std::uint64_t sumMatching(const std::vector<FlatStat> &flat,
+                          std::string_view pattern);
 
 /**
  * Match a dotted stat name against a pattern matched segment by

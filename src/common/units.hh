@@ -23,13 +23,6 @@ inline constexpr std::uint64_t KiB = 1024ull;
 inline constexpr std::uint64_t MiB = 1024ull * KiB;
 inline constexpr std::uint64_t GiB = 1024ull * MiB;
 
-/** Convert a GB/s link/memory bandwidth into bytes per GPU cycle. */
-inline constexpr double
-gbpsToBytesPerCycle(double gbps)
-{
-    return gbps;
-}
-
 /** Integer ceiling division. */
 template <typename T>
 inline constexpr T

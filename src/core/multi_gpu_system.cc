@@ -128,7 +128,6 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
     net_.instrument(trace_, 1 + numGpus(), telem_.enabled);
 
     registerStats();
-    phase_base_ = stats::snapshotScalars(stat_root_);
 }
 
 void
@@ -148,54 +147,33 @@ MultiGpuSystem::registerStats()
                            [this] {
                                return trace_ ? trace_->droppedEvents()
                                              : 0;
-                           },
-                           "trace events overwritten oldest-first by "
-                           "a full ring buffer");
+                           });
 
     stats::StatGroup *sim = child("sim");
-    sim->addScalar("bulk_bytes", &bulk_bytes_,
-                   "page-copy bytes moved by the NUMA runtime");
+    sim->addScalar("bulk_bytes", &bulk_bytes_);
     sim->addDerivedInt("cycles",
                        [this] {
                            return finished_ ? finish_time_
                                             : engine_.now();
-                       },
-                       "end-to-end runtime in cycles");
+                       });
     sim->addDerivedInt("insts_issued",
-                       [this] { return totalInstsIssued(); },
-                       "warp instructions issued system-wide");
+                       [this] { return totalInstsIssued(); });
     sim->addDerivedInt("events",
-                       [this] { return engine_.eventsExecuted(); },
-                       "discrete events executed across all domains");
+                       [this] { return engine_.eventsExecuted(); });
 
     stats::StatGroup *fabric = child("fabric");
-    fabric->addScalar("remote_read_msgs",
-                      &fabric_remote_read_msgs_.scalar(),
-                      "remote read requests entering the fabric");
+    fabric->addScalar("remote_read_msgs", &fabric_remote_read_msgs_.scalar());
     fabric->addScalar("remote_write_msgs",
-                      &fabric_remote_write_msgs_.scalar(),
-                      "remote write messages entering the fabric");
-    fabric->addScalar("cpu_read_msgs", &fabric_cpu_read_msgs_.scalar(),
-                      "CPU read requests entering the fabric");
-    fabric->addScalar("cpu_write_msgs",
-                      &fabric_cpu_write_msgs_.scalar(),
-                      "CPU write messages entering the fabric");
-    fabric->addScalar("flush_bytes", &fabric_flush_bytes_.scalar(),
-                      "RDC boundary-flush bytes entering the fabric");
-    fabric->addScalar("coh_ctrl_bytes",
-                      &fabric_coh_ctrl_bytes_.scalar(),
-                      "coherence control bytes entering the fabric");
-    fabric->addScalar("bulk_gpu_bytes",
-                      &fabric_bulk_gpu_bytes_.scalar(),
-                      "bulk-transfer bytes charged to GPU-GPU links");
-    fabric->addScalar("bulk_cpu_bytes",
-                      &fabric_bulk_cpu_bytes_.scalar(),
-                      "bulk-transfer bytes charged to CPU links");
+                      &fabric_remote_write_msgs_.scalar());
+    fabric->addScalar("cpu_read_msgs", &fabric_cpu_read_msgs_.scalar());
+    fabric->addScalar("cpu_write_msgs", &fabric_cpu_write_msgs_.scalar());
+    fabric->addScalar("flush_bytes", &fabric_flush_bytes_.scalar());
+    fabric->addScalar("coh_ctrl_bytes", &fabric_coh_ctrl_bytes_.scalar());
+    fabric->addScalar("bulk_gpu_bytes", &fabric_bulk_gpu_bytes_.scalar());
+    fabric->addScalar("bulk_cpu_bytes", &fabric_bulk_cpu_bytes_.scalar());
     if (telem_.enabled) {
         fabric->addHistogram(
-            "remote_read_latency", &remote_read_latency_.histogram(),
-            "cycles from remote-read issue to data back at the "
-            "source GPU");
+            "remote_read_latency", &remote_read_latency_.histogram());
     }
 
     // Engine self-profiling. Like every telemetry stat, the whole
@@ -206,30 +184,18 @@ MultiGpuSystem::registerStats()
     if (telem_.enabled) {
         stats::StatGroup *eng = child("engine");
         eng->addDerivedInt("windows",
-                           [this] { return engine_profile_.windows; },
-                           "lookahead windows executed");
+                           [this] { return engine_profile_.windows; });
         eng->addHistogram("window_occupancy",
-                          &engine_profile_.window_occupancy,
-                          "events executed per domain per lookahead "
-                          "window");
-        eng->addHistogram("outbox_depth",
-                          &engine_profile_.outbox_depth,
-                          "cross-domain messages buffered per outbox "
-                          "at each exchange");
-        eng->addHistogram("exchange_msgs",
-                          &engine_profile_.exchange_msgs,
-                          "cross-domain messages exchanged per window");
-        eng->addHistogram("barrier_wait_ns",
-                          &engine_profile_.barrier_wait_ns,
-                          "host nanoseconds workers spent blocked at "
-                          "window barriers (host_timing only)");
+                          &engine_profile_.window_occupancy);
+        eng->addHistogram("outbox_depth", &engine_profile_.outbox_depth);
+        eng->addHistogram("exchange_msgs", &engine_profile_.exchange_msgs);
+        eng->addHistogram("barrier_wait_ns", &engine_profile_.barrier_wait_ns);
         for (unsigned d = 0; d < engine_.numDomains(); ++d) {
             stat_groups_.push_back(std::make_unique<stats::StatGroup>(
                 "domain" + std::to_string(d), eng));
             stat_groups_.back()->addDerivedInt(
                 "events",
-                [this, d] { return engine_.queue(d).executed(); },
-                "events executed in this domain");
+                [this, d] { return engine_.queue(d).executed(); });
         }
     }
 
@@ -293,7 +259,7 @@ MultiGpuSystem::run(Cycle max_cycles, double max_wall_seconds)
     hooks.on_barrier = [this](Cycle t) {
         // Commit the window's NUMA policy decisions (single-threaded,
         // deterministic order), then make every sharded counter
-        // coherent for barrier actions and snapshots.
+        // coherent for barrier actions and the audit.
         pages_.commitWindow(t, [this](NodeId src, NodeId dst) {
             bulkTransfer(src, dst, pages_.table().pageSize());
         });
@@ -387,22 +353,6 @@ MultiGpuSystem::finishKernelBarrier()
         trace_->instant(trace::Category::Kernel, track,
                         "kernel_boundary", engine_.now(), stall);
     }
-
-    // Epoch snapshot: the counter increase attributable to this
-    // kernel, boundary actions included. Sharded counters were folded
-    // by the on_barrier hook (which runs before barrier actions), so
-    // the snapshot sees complete totals. Live counters are never
-    // reset, so the running totals in the tree stay end-to-end.
-    stats::EpochPhase phase;
-    phase.index = cur_kernel_;
-    phase.start_cycle = phase_start_;
-    phase.end_cycle = engine_.now();
-    const stats::ScalarSnapshot snap =
-        stats::snapshotScalars(stat_root_);
-    phase.deltas = stats::snapshotDelta(phase_base_, snap);
-    phases_.push_back(std::move(phase));
-    phase_base_ = snap;
-    phase_start_ = engine_.now();
 
     auditCheck(/* final_pass */ false);
 

@@ -134,11 +134,6 @@ class MultiGpuSystem : public SystemFabric
     {
         return static_cast<unsigned>(gpus_.size());
     }
-    const GpuVi *gpuVi() const
-    {
-        return vi_ ? &*vi_ : nullptr;
-    }
-    const CtaScheduler &scheduler() const { return sched_; }
     const Workload &workload() const { return wl_; }
 
     /** True when the carve-audit checker is attached. */
@@ -146,10 +141,6 @@ class MultiGpuSystem : public SystemFabric
 
     /** Total warp instructions issued so far. */
     std::uint64_t totalInstsIssued() const;
-
-    /** Page-copy bytes moved by the NUMA runtime (charged to links
-     * only when numa.charge_bulk_transfers is set). */
-    std::uint64_t bulkBytes() const { return bulk_bytes_; }
 
     /**
      * Root of the unified metrics registry. Every component counter
@@ -160,14 +151,6 @@ class MultiGpuSystem : public SystemFabric
      * after run() returns or inside barrier actions.
      */
     const stats::StatGroup &stats() const { return stat_root_; }
-
-    /** Per-kernel counter deltas captured at every kernel boundary
-     * (epoch snapshots; valid after run()). */
-    const std::vector<stats::EpochPhase> &
-    kernelPhases() const
-    {
-        return phases_;
-    }
 
   private:
     /** A remote read crossing the fabric; pooled per source domain so
@@ -194,8 +177,8 @@ class MultiGpuSystem : public SystemFabric
     void startGpuKernel(NodeId g, KernelId k);
     void onGpuKernelDone(NodeId gpu);
     /** Kernel-boundary work that must run while every domain is
-     * stopped: coherence flushes, epoch snapshot, audit pass, next
-     * launch (or finish). Runs as a window-barrier action. */
+     * stopped: coherence flushes, audit pass, next launch (or
+     * finish). Runs as a window-barrier action. */
     void finishKernelBarrier();
     /** Remote-read pipeline stages, keyed by (source, pool handle). */
     void remoteReadAtHome(NodeId src, std::uint32_t op);
@@ -210,7 +193,7 @@ class MultiGpuSystem : public SystemFabric
     /** Coherence invalidate arriving at @p node's domain. */
     void invalidateAt(NodeId node, Addr line);
     /** Fold every sharded counter into its registered scalar; runs in
-     * the on_barrier hook so snapshots and checks see totals. */
+     * the on_barrier hook so barrier checks see totals. */
     void foldShardedStats();
     void registerStats();
     /** Run every applicable invariant; panics listing all failures.
@@ -252,7 +235,7 @@ class MultiGpuSystem : public SystemFabric
     bool finished_ = false;
     bool watchdog_tripped_ = false;
     Cycle finish_time_ = 0;
-    stats::Scalar bulk_bytes_;
+    stats::Scalar bulk_bytes_;  ///< page-copy bytes the NUMA runtime moved
 
     /**
      * Fabric-side conservation ledger: message and byte counts at the
@@ -282,9 +265,6 @@ class MultiGpuSystem : public SystemFabric
 
     stats::StatGroup stat_root_;
     std::vector<std::unique_ptr<stats::StatGroup>> stat_groups_;
-    std::vector<stats::EpochPhase> phases_;
-    stats::ScalarSnapshot phase_base_;
-    Cycle phase_start_ = 0;
 };
 
 } // namespace carve

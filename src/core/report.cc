@@ -1,6 +1,5 @@
 #include "core/report.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <string_view>
@@ -21,53 +20,33 @@ collectResult(const MultiGpuSystem &sys, const std::string &workload,
     // Flatten the registry once; every summary field below resolves
     // against this single sorted view of the stat tree, never against
     // component getters.
-    const std::vector<stats::FlatStat> flat =
-        stats::flattenStats(sys.stats());
+    std::vector<stats::FlatStat> flat = stats::flattenStats(sys.stats());
 
-    const auto lookup =
-        [&](std::string_view name) -> const stats::FlatStat * {
-        const auto it = std::lower_bound(
-            flat.begin(), flat.end(), name,
-            [](const stats::FlatStat &f, std::string_view n) {
-                return f.name < n;
-            });
-        return it != flat.end() && it->name == name ? &*it : nullptr;
-    };
+    using stats::sumMatching;
     const auto valueU64 = [&](std::string_view name) {
-        const stats::FlatStat *f = lookup(name);
+        const stats::FlatStat *f = stats::lookup(flat, name);
         return f ? f->u64 : std::uint64_t{0};
-    };
-    const auto valueDbl = [&](std::string_view name, double dflt) {
-        const stats::FlatStat *f = lookup(name);
-        return f ? f->asDouble() : dflt;
-    };
-    const auto sumMatching = [&](std::string_view pattern) {
-        std::uint64_t total = 0;
-        for (const auto &f : flat)
-            if (stats::nameMatches(pattern, f.name))
-                total += f.u64;
-        return total;
     };
 
     r.cycles = valueU64("sim.cycles");
     r.warp_insts = valueU64("sim.insts_issued");
     r.events = valueU64("sim.events");
 
-    r.traffic.local_reads = sumMatching("gpu*.traffic.local_reads");
-    r.traffic.remote_reads = sumMatching("gpu*.traffic.remote_reads");
+    r.traffic.local_reads = sumMatching(flat, "gpu*.traffic.local_reads");
+    r.traffic.remote_reads = sumMatching(flat, "gpu*.traffic.remote_reads");
     r.traffic.rdc_hit_reads =
-        sumMatching("gpu*.traffic.rdc_hit_reads");
-    r.traffic.cpu_reads = sumMatching("gpu*.traffic.cpu_reads");
-    r.traffic.local_writes = sumMatching("gpu*.traffic.local_writes");
+        sumMatching(flat, "gpu*.traffic.rdc_hit_reads");
+    r.traffic.cpu_reads = sumMatching(flat, "gpu*.traffic.cpu_reads");
+    r.traffic.local_writes = sumMatching(flat, "gpu*.traffic.local_writes");
     r.traffic.remote_writes =
-        sumMatching("gpu*.traffic.remote_writes");
+        sumMatching(flat, "gpu*.traffic.remote_writes");
     r.traffic.rdc_hit_writes =
-        sumMatching("gpu*.traffic.rdc_hit_writes");
-    r.traffic.cpu_writes = sumMatching("gpu*.traffic.cpu_writes");
+        sumMatching(flat, "gpu*.traffic.rdc_hit_writes");
+    r.traffic.cpu_writes = sumMatching(flat, "gpu*.traffic.cpu_writes");
     r.frac_remote = r.traffic.fracRemote();
 
-    const std::uint64_t l2_hits = sumMatching("gpu*.l2.hits");
-    const std::uint64_t l2_misses = sumMatching("gpu*.l2.misses");
+    const std::uint64_t l2_hits = sumMatching(flat, "gpu*.l2.hits");
+    const std::uint64_t l2_misses = sumMatching(flat, "gpu*.l2.misses");
     r.l2_hit_rate = (l2_hits + l2_misses) == 0
         ? 0.0
         : static_cast<double>(l2_hits) /
@@ -84,15 +63,17 @@ collectResult(const MultiGpuSystem &sys, const std::string &workload,
             r.gpu_gpu_bytes += f.u64;
     }
 
-    r.rdc_hits = sumMatching("gpu*.rdc.read_hits");
-    r.rdc_misses = sumMatching("gpu*.rdc.read_misses");
+    r.rdc_hits = sumMatching(flat, "gpu*.rdc.read_hits");
+    r.rdc_misses = sumMatching(flat, "gpu*.rdc.read_misses");
     r.hw_invalidates = valueU64("coherence.invalidates_sent");
 
     r.migrations = valueU64("numa.migrations");
     r.replications = valueU64("numa.replications");
     r.collapses = valueU64("numa.collapses");
     r.um_migrations = valueU64("numa.um_migrations");
-    r.capacity_pressure = valueDbl("numa.capacity_pressure", 1.0);
+    if (const stats::FlatStat *f =
+            stats::lookup(flat, "numa.capacity_pressure"))
+        r.capacity_pressure = f->asDouble();
 
     r.page_sharing.private_accesses =
         valueU64("numa.sharing.page_private");
@@ -113,8 +94,7 @@ collectResult(const MultiGpuSystem &sys, const std::string &workload,
     r.total_page_footprint =
         valueU64("numa.sharing.total_page_bytes");
 
-    r.stat_tree = flat;
-    r.phases = sys.kernelPhases();
+    r.stat_tree = std::move(flat);
     return r;
 }
 

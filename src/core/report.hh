@@ -65,10 +65,6 @@ struct SimResult
      * this view, and schema v2 embeds it per run. */
     std::vector<stats::FlatStat> stat_tree;
 
-    /** Per-kernel epoch snapshots (not serialized; see
-     * MultiGpuSystem::kernelPhases()). */
-    std::vector<stats::EpochPhase> phases;
-
     /** Warp instructions per cycle (throughput metric). */
     double
     ipc() const

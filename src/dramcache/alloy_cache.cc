@@ -100,7 +100,7 @@ AlloyCache::invalidateLine(Addr line_addr)
 }
 
 void
-AlloyCache::resetAll()
+AlloyCache::clear()
 {
     sets_map_.clear();
 }

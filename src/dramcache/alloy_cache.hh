@@ -97,7 +97,7 @@ class AlloyCache
     bool invalidateLine(Addr line_addr);
 
     /** Physically clear every set (EPCTR rollover). */
-    void resetAll();
+    void clear();
 
     /** Set index of @p line_addr (channel interleave uses this). */
     std::uint64_t
@@ -148,17 +148,13 @@ class AlloyCache
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("probes", &probes_, "lookup probes");
-        g.addScalar("hits", &hits_, "tag+epoch matches");
-        g.addScalar("misses", &misses_, "empty set or tag mismatch");
-        g.addScalar("stale_hits", &stale_,
-                    "tag matches from an old epoch");
-        g.addScalar("conflict_evictions", &conflicts_,
-                    "valid lines displaced by inserts");
-        g.addScalar("dirty_evictions", &dirty_evictions_,
-                    "displaced victims that were dirty");
-        g.addDerived("hit_rate", [this] { return hitRate(); },
-                     "hits / probes (stale probes count as misses)");
+        g.addScalar("probes", &probes_);
+        g.addScalar("hits", &hits_);
+        g.addScalar("misses", &misses_);
+        g.addScalar("stale_hits", &stale_);
+        g.addScalar("conflict_evictions", &conflicts_);
+        g.addScalar("dirty_evictions", &dirty_evictions_);
+        g.addDerived("hit_rate", [this] { return hitRate(); });
     }
 
     /** One direct-mapped set's tag state. */
@@ -184,10 +180,10 @@ class AlloyCache
     std::unordered_map<std::uint64_t, SetEntry> sets_map_;
 
     stats::Scalar probes_;
-    stats::Scalar hits_;
-    stats::Scalar misses_;
-    stats::Scalar stale_;
-    stats::Scalar conflicts_;
+    stats::Scalar hits_;             ///< tag + epoch matches
+    stats::Scalar misses_;           ///< empty set or tag mismatch
+    stats::Scalar stale_;            ///< tag matches from an old epoch
+    stats::Scalar conflicts_;        ///< valid lines displaced by inserts
     stats::Scalar dirty_evictions_;
 };
 

@@ -98,15 +98,14 @@ class DirtyMap
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("markings", &markings_,
-                    "set markings (including re-marks)");
+        g.addScalar("markings", &markings_);
     }
 
   private:
     std::uint64_t region_size_;
     /** Dirty set storage offset -> home of the resident dirty line. */
     std::unordered_map<std::uint64_t, NodeId> sets_;
-    stats::Scalar markings_;
+    stats::Scalar markings_;  ///< set markings, re-marks included
 };
 
 } // namespace carve

@@ -46,17 +46,15 @@ class EpochCounter
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("increments", &increments_,
-                    "epoch bumps at kernel boundaries");
-        g.addScalar("rollovers", &rollovers_,
-                    "counter wraps forcing a physical clear");
+        g.addScalar("increments", &increments_);
+        g.addScalar("rollovers", &rollovers_);
     }
 
   private:
     std::uint32_t value_ = 0;
     std::uint32_t max_;
-    stats::Scalar increments_;
-    stats::Scalar rollovers_;
+    stats::Scalar increments_;  ///< epoch bumps at kernel boundaries
+    stats::Scalar rollovers_;   ///< wraps forcing a physical clear
 };
 
 } // namespace carve

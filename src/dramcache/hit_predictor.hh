@@ -52,10 +52,9 @@ class HitPredictor
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("correct", &correct_, "correct predictions");
-        g.addScalar("wrong", &wrong_, "mispredictions");
-        g.addDerived("accuracy", [this] { return accuracy(); },
-                     "prediction accuracy (1.0 when untrained)");
+        g.addScalar("correct", &correct_);
+        g.addScalar("wrong", &wrong_);
+        g.addDerived("accuracy", [this] { return accuracy(); });
     }
 
   private:

@@ -231,7 +231,7 @@ RdcController::kernelBoundarySwc()
     }
     if (epoch_.increment()) {
         // Rollover: the controller physically clears every line.
-        alloy_.resetAll();
+        alloy_.clear();
         rollover_.instant(eq_.now());
     }
     return stall;
@@ -255,26 +255,16 @@ RdcController::contains(Addr line_addr)
 void
 RdcController::registerStats(stats::StatGroup &g)
 {
-    g.addScalar("read_hits", &read_hits_,
-                "reads serviced from the carve-out");
-    g.addScalar("read_misses", &read_misses_,
-                "reads forwarded to the home node");
-    g.addScalar("mshr_stalls", &mshr_stalls_,
-                "stall episodes on a full RDC MSHR file");
-    g.addScalar("write_updates", &write_updates_,
-                "writes updating a resident carve-out line");
-    g.addScalar("write_throughs", &write_throughs_,
-                "writes forwarded home (write-through mode)");
-    g.addScalar("bypasses", &bypasses_,
-                "misses overlapped with the probe by the predictor");
-    g.addScalar("hw_invalidates", &hw_invalidates_,
-                "inbound hardware write-invalidates");
-    g.addScalar("writeback_victims", &writeback_victims_,
-                "dirty victims written back to their homes");
-    g.addScalar("flush_bytes", &flush_bytes_,
-                "kernel-boundary flush bytes sent over the fabric");
-    g.addScalar("flush_regions", &flush_regions_,
-                "dirty regions drained at kernel boundaries");
+    g.addScalar("read_hits", &read_hits_);
+    g.addScalar("read_misses", &read_misses_);
+    g.addScalar("mshr_stalls", &mshr_stalls_);
+    g.addScalar("write_updates", &write_updates_);
+    g.addScalar("write_throughs", &write_throughs_);
+    g.addScalar("bypasses", &bypasses_);
+    g.addScalar("hw_invalidates", &hw_invalidates_);
+    g.addScalar("writeback_victims", &writeback_victims_);
+    g.addScalar("flush_bytes", &flush_bytes_);
+    g.addScalar("flush_regions", &flush_regions_);
 
     const auto child = [&](const char *name) {
         stat_groups_.push_back(
@@ -288,12 +278,9 @@ RdcController::registerStats(stats::StatGroup &g)
     stats::StatGroup *mshrsg = child("mshrs");
     mshrs_.registerStats(*mshrsg);
     if (mshrs_.parkProbe().histogram())
-        mshrsg->addHistogram("park_duration", &mshr_park_dur_,
-                             "cycles misses waited parked on the "
-                             "full MSHR file");
+        mshrsg->addHistogram("park_duration", &mshr_park_dur_);
     if (mshrs_.lifetimeProbe().histogram())
-        mshrsg->addHistogram("miss_lifetime", &miss_life_,
-                             "cycles from MSHR allocate to fill");
+        mshrsg->addHistogram("miss_lifetime", &miss_life_);
 }
 
 void

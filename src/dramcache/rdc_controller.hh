@@ -213,14 +213,14 @@ class RdcController
 
     stats::Scalar read_hits_;
     stats::Scalar read_misses_;
-    stats::Scalar mshr_stalls_;
-    stats::Scalar write_updates_;
-    stats::Scalar write_throughs_;
-    stats::Scalar bypasses_;
-    stats::Scalar hw_invalidates_;
+    stats::Scalar mshr_stalls_;     ///< stall episodes on a full MSHR file
+    stats::Scalar write_updates_;   ///< writes to a resident line
+    stats::Scalar write_throughs_;  ///< forwarded home (write-through)
+    stats::Scalar bypasses_;        ///< misses overlapped with the probe
+    stats::Scalar hw_invalidates_;  ///< inbound hardware write-invalidates
     stats::Scalar writeback_victims_;
-    stats::Scalar flush_bytes_;
-    stats::Scalar flush_regions_;
+    stats::Scalar flush_bytes_;     ///< kernel-boundary flush bytes sent
+    stats::Scalar flush_regions_;   ///< dirty regions drained at boundaries
     std::vector<std::unique_ptr<stats::StatGroup>> stat_groups_;
 };
 

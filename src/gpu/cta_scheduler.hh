@@ -55,7 +55,6 @@ class CtaScheduler
     /** One past the last CTA id of @p gpu's batch (tests). */
     CtaId batchEnd(NodeId gpu) const;
 
-    std::uint64_t totalCtas() const { return total_; }
     std::uint64_t retiredCtas() const;
 
   private:

@@ -440,14 +440,10 @@ GpuNode::instrument(trace::Session *session, std::uint32_t pid,
 void
 GpuNode::registerStats(stats::StatGroup &g)
 {
-    g.addScalar("hw_invalidations_in", &hw_invalidations_in_,
-                "inbound hardware write-invalidates");
-    g.addScalar("remote_serviced_reads", &serviced_remote_reads_,
-                "inbound remote reads serviced by this home");
-    g.addScalar("remote_serviced_writes", &serviced_remote_writes_,
-                "inbound remote writes serviced by this home");
-    g.addDerivedInt("insts_issued", [this] { return instsIssued(); },
-                    "warp instructions issued across this GPU's SMs");
+    g.addScalar("hw_invalidations_in", &hw_invalidations_in_);
+    g.addScalar("remote_serviced_reads", &serviced_remote_reads_);
+    g.addScalar("remote_serviced_writes", &serviced_remote_writes_);
+    g.addDerivedInt("insts_issued", [this] { return instsIssued(); });
 
     const auto child = [&](const std::string &name,
                            stats::StatGroup *parent) {
@@ -460,22 +456,15 @@ GpuNode::registerStats(stats::StatGroup &g)
 
     stats::StatGroup *l2g = child("l2", &g);
     l2_.registerStats(*l2g);
-    l2g->addScalar("mshr_stalls", &l2_mshr_stalls_,
-                   "stall episodes on a full L2 MSHR file");
+    l2g->addScalar("mshr_stalls", &l2_mshr_stalls_);
     stats::StatGroup *l2mg = child("mshrs", l2g);
     l2_mshrs_.registerStats(*l2mg);
     if (l2_mshrs_.parkProbe().histogram())
-        l2mg->addHistogram("park_duration", &l2_park_dur_,
-                           "cycles reads waited parked on the full "
-                           "L2 MSHR file");
+        l2mg->addHistogram("park_duration", &l2_park_dur_);
     if (l2_mshrs_.lifetimeProbe().histogram())
-        l2mg->addHistogram("miss_lifetime", &l2_miss_life_,
-                           "cycles from L2 MSHR allocate to fill");
+        l2mg->addHistogram("miss_lifetime", &l2_miss_life_);
     if (l1_park_.histogram())
-        child("l1_mshrs", &g)->addHistogram(
-            "park_duration", &l1_park_dur_,
-            "cycles reads waited parked on a full L1 MSHR file "
-            "(pooled across this GPU's SMs)");
+        child("l1_mshrs", &g)->addHistogram("park_duration", &l1_park_dur_);
 
     tlb_.registerStats(*child("tlb", &g));
     mem_.registerStats(*child("mem", &g));

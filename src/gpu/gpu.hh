@@ -58,22 +58,14 @@ struct GpuTraffic
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("local_reads", &local_reads,
-                    "post-LLC reads serviced by local memory");
-        g.addScalar("remote_reads", &remote_reads,
-                    "post-LLC reads that left this GPU");
-        g.addScalar("rdc_hit_reads", &rdc_hit_reads,
-                    "post-LLC reads serviced by the carve-out");
-        g.addScalar("cpu_reads", &cpu_reads,
-                    "post-LLC reads serviced by system memory");
-        g.addScalar("local_writes", &local_writes,
-                    "post-LLC writes to local memory");
-        g.addScalar("remote_writes", &remote_writes,
-                    "post-LLC writes that left this GPU");
-        g.addScalar("rdc_hit_writes", &rdc_hit_writes,
-                    "post-LLC writes absorbed by a write-back RDC");
-        g.addScalar("cpu_writes", &cpu_writes,
-                    "post-LLC writes to system memory");
+        g.addScalar("local_reads", &local_reads);
+        g.addScalar("remote_reads", &remote_reads);
+        g.addScalar("rdc_hit_reads", &rdc_hit_reads);
+        g.addScalar("cpu_reads", &cpu_reads);
+        g.addScalar("local_writes", &local_writes);
+        g.addScalar("remote_writes", &remote_writes);
+        g.addScalar("rdc_hit_writes", &rdc_hit_writes);
+        g.addScalar("cpu_writes", &cpu_writes);
     }
 };
 
@@ -233,15 +225,15 @@ class GpuNode
     trace::Probe hw_inval_;        ///< inbound hardware write-invalidate
     trace::Probe l1_park_;         ///< every SM's L1 MSHR park->wake
 
-    telemetry::Histogram l1_park_dur_;   ///< all SMs' L1 MSHR parks
-    telemetry::Histogram l2_park_dur_;   ///< L2 MSHR park->wake
-    telemetry::Histogram l2_miss_life_;  ///< L2 MSHR allocate->fill
+    telemetry::Histogram l1_park_dur_;   ///< all SMs' L1 park->wake cycles
+    telemetry::Histogram l2_park_dur_;   ///< L2 MSHR park->wake cycles
+    telemetry::Histogram l2_miss_life_;  ///< L2 allocate->fill cycles
 
     GpuTraffic traffic_;
-    stats::Scalar l2_mshr_stalls_;
-    stats::Scalar hw_invalidations_in_;
-    stats::Scalar serviced_remote_reads_;
-    stats::Scalar serviced_remote_writes_;
+    stats::Scalar l2_mshr_stalls_;  ///< stall episodes on a full L2 MSHR file
+    stats::Scalar hw_invalidations_in_;     ///< inbound write-invalidates
+    stats::Scalar serviced_remote_reads_;   ///< inbound, serviced as home
+    stats::Scalar serviced_remote_writes_;  ///< inbound, serviced as home
     std::vector<std::unique_ptr<stats::StatGroup>> stat_groups_;
 };
 

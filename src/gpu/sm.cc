@@ -236,14 +236,11 @@ Sm::finishWarp(unsigned slot)
 void
 Sm::registerStats(stats::StatGroup &g)
 {
-    g.addScalar("insts_issued", &insts_issued_,
-                "warp memory instructions issued");
-    g.addScalar("read_insts", &read_insts_, "read instructions");
-    g.addScalar("write_insts", &write_insts_, "write instructions");
-    g.addScalar("lines_accessed", &lines_,
-                "post-coalescing line accesses");
-    g.addScalar("mshr_stalls", &mshr_stalls_,
-                "stall episodes on a full L1 MSHR file");
+    g.addScalar("insts_issued", &insts_issued_);
+    g.addScalar("read_insts", &read_insts_);
+    g.addScalar("write_insts", &write_insts_);
+    g.addScalar("lines_accessed", &lines_);
+    g.addScalar("mshr_stalls", &mshr_stalls_);
 
     stat_groups_.push_back(
         std::make_unique<stats::StatGroup>("l1", &g));

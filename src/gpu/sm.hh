@@ -98,7 +98,6 @@ class Sm
     std::uint64_t instsIssued() const { return insts_issued_.value(); }
     std::uint64_t readInsts() const { return read_insts_.value(); }
     std::uint64_t writeInsts() const { return write_insts_.value(); }
-    std::uint64_t linesAccessed() const { return lines_.value(); }
     std::uint64_t mshrStalls() const { return mshr_stalls_.value(); }
 
     SmId id() const { return id_; }
@@ -168,11 +167,11 @@ class Sm
     trace::Probe read_;   ///< warp read latency (issue -> all lines back)
     trace::Probe stall_;  ///< one L1 MSHR stall episode ended
 
-    stats::Scalar insts_issued_;
+    stats::Scalar insts_issued_;  ///< warp memory instructions issued
     stats::Scalar read_insts_;
     stats::Scalar write_insts_;
-    stats::Scalar lines_;
-    stats::Scalar mshr_stalls_;
+    stats::Scalar lines_;         ///< post-coalescing line accesses
+    stats::Scalar mshr_stalls_;   ///< stall episodes on a full L1 MSHR file
     std::vector<std::unique_ptr<stats::StatGroup>> stat_groups_;
 };
 

@@ -11,12 +11,6 @@ namespace harness {
 
 namespace {
 
-std::uint64_t
-u64At(const json::Value &v, const char *key)
-{
-    return static_cast<std::uint64_t>(v.at(key).asInt());
-}
-
 json::Value
 microToJson(const MicroResult &m)
 {
@@ -31,11 +25,12 @@ microToJson(const MicroResult &m)
 MicroResult
 microFromJson(const json::Value &v)
 {
+    constexpr const char *what = "bench: micro entry";
     MicroResult m;
-    m.name = v.at("name").asString();
-    m.events = u64At(v, "events");
-    m.seconds = v.at("seconds").asDouble();
-    m.events_per_sec = v.at("events_per_sec").asDouble();
+    m.name = json::requireString(v, "name", what);
+    m.events = json::requireU64(v, "events", what);
+    m.seconds = json::requireNumber(v, "seconds", what);
+    m.events_per_sec = json::requireNumber(v, "events_per_sec", what);
     return m;
 }
 
@@ -59,21 +54,23 @@ cellToJson(const CellResult &c)
 CellResult
 cellFromJson(const json::Value &v)
 {
+    constexpr const char *what = "bench: cell";
     CellResult c;
-    c.preset = v.at("preset").asString();
-    c.workload = v.at("workload").asString();
-    c.cycles = u64At(v, "cycles");
-    c.events = u64At(v, "events");
-    c.warp_insts = u64At(v, "warp_insts");
+    c.preset = json::requireString(v, "preset", what);
+    c.workload = json::requireString(v, "workload", what);
+    c.cycles = json::requireU64(v, "cycles", what);
+    c.events = json::requireU64(v, "events", what);
+    c.warp_insts = json::requireU64(v, "warp_insts", what);
     // Optional: bench files written before the memory columns existed
-    // read back with zeros (compareBench never gates on them).
+    // read back with zeros (a zero baseline never gates).
     if (v.has("allocations"))
-        c.allocations = u64At(v, "allocations");
+        c.allocations = json::requireU64(v, "allocations", what);
     if (v.has("peak_rss_bytes"))
-        c.peak_rss_bytes = u64At(v, "peak_rss_bytes");
-    c.host_seconds = v.at("host_seconds").asDouble();
-    c.events_per_sec = v.at("events_per_sec").asDouble();
-    c.warp_insts_per_sec = v.at("warp_insts_per_sec").asDouble();
+        c.peak_rss_bytes = json::requireU64(v, "peak_rss_bytes", what);
+    c.host_seconds = json::requireNumber(v, "host_seconds", what);
+    c.events_per_sec = json::requireNumber(v, "events_per_sec", what);
+    c.warp_insts_per_sec =
+        json::requireNumber(v, "warp_insts_per_sec", what);
     return c;
 }
 
@@ -105,16 +102,17 @@ benchToJson(const BenchReport &r)
 BenchReport
 benchFromJson(const json::Value &doc)
 {
+    constexpr const char *what = "bench: document";
     BenchReport r;
-    r.date = doc.at("date").asString();
-    r.git_version = doc.at("git_version").asString();
-    r.engine = doc.at("engine").asString();
-    r.memory_scale =
-        static_cast<unsigned>(doc.at("memory_scale").asInt());
-    r.duration = doc.at("duration").asDouble();
-    for (const auto &m : doc.at("micro").asArray())
+    r.date = json::requireString(doc, "date", what);
+    r.git_version = json::requireString(doc, "git_version", what);
+    r.engine = json::requireString(doc, "engine", what);
+    r.memory_scale = static_cast<unsigned>(
+        json::requireU64(doc, "memory_scale", what));
+    r.duration = json::requireNumber(doc, "duration", what);
+    for (const auto &m : json::requireArray(doc, "micro", what))
         r.micro.push_back(microFromJson(m));
-    for (const auto &c : doc.at("cells").asArray())
+    for (const auto &c : json::requireArray(doc, "cells", what))
         r.cells.push_back(cellFromJson(c));
     return r;
 }
@@ -128,12 +126,11 @@ readBenchFile(const std::string &path)
     std::ostringstream ss;
     ss << is.rdbuf();
     const json::Value doc = json::parse(ss.str(), path);
-    const std::string schema =
-        doc.isObject() && doc.has("schema")
-            ? doc.at("schema").asString()
-            : std::string();
-    if (schema != kBenchSchema)
-        fatal("'%s' is not a %s file", path.c_str(), kBenchSchema);
+    const json::Value &schema = doc.at("schema");
+    if (!schema.isString() || schema.asString() != kBenchSchema) {
+        fatal("'%s' is not a %s file (member 'schema' differs)",
+              path.c_str(), kBenchSchema);
+    }
     return benchFromJson(doc);
 }
 
@@ -173,6 +170,7 @@ compareBench(const BenchReport &baseline,
         BenchDelta d;
         d.key = key;
         d.metric = metric;
+        d.factor = 0.0;  // rendered as MISS, never gates
         out.push_back(std::move(d));
     };
 
@@ -194,12 +192,17 @@ compareBench(const BenchReport &baseline,
         if (cc) {
             lower(bc.key(), "host_seconds", bc.host_seconds,
                   cc->host_seconds);
-            // Event counts are deterministic, so this gate is exact:
-            // a return to MSHR retry polling inflates events by
-            // orders of magnitude long before wall time notices.
+            // Event and allocation counts do not depend on host
+            // speed, and they gate at the same fail-factor: a return
+            // to MSHR retry polling inflates events, and per-kernel
+            // registry walks inflate allocations, long before wall
+            // time notices.
             lower(bc.key(), "events",
                   static_cast<double>(bc.events),
                   static_cast<double>(cc->events));
+            lower(bc.key(), "allocations",
+                  static_cast<double>(bc.allocations),
+                  static_cast<double>(cc->allocations));
         } else {
             missing(bc.key(), "missing cell");
         }
@@ -221,7 +224,7 @@ formatBenchCompare(const std::vector<BenchDelta> &deltas,
                    double fail_factor)
 {
     std::string out = "bench comparison (gate: >" +
-        json::formatDouble(fail_factor) + "x slowdown):\n";
+        json::formatDouble(fail_factor) + "x worse):\n";
     char line[256];
     for (const auto &d : deltas) {
         if (d.factor == 0.0) {
@@ -233,7 +236,7 @@ formatBenchCompare(const std::vector<BenchDelta> &deltas,
                 "  %s %-28s %s %.3g -> %.3g (%.2fx %s)\n",
                 d.regression ? "FAIL " : "ok   ", d.key.c_str(),
                 d.metric.c_str(), d.baseline, d.candidate, d.factor,
-                d.factor > 1.0 ? "slower" : "of baseline");
+                d.factor > 1.0 ? "worse" : "of baseline");
         }
         out += line;
     }

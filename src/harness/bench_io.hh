@@ -75,31 +75,34 @@ struct BenchReport
 /** Serialise a report (deterministic member order). */
 json::Value benchToJson(const BenchReport &r);
 
-/** Inverse of benchToJson(); fatal on missing required members. */
+/** Inverse of benchToJson(); fatal on missing or ill-typed members. */
 BenchReport benchFromJson(const json::Value &doc);
 
 /** Read + parse + schema-check a bench file (fatal on mismatch). */
 BenchReport readBenchFile(const std::string &path);
 
-/** One slowdown found by compareBench(). */
+/** One entry compared by compareBench(). */
 struct BenchDelta
 {
     std::string key;     ///< "eventq/calendar" or "preset/workload"
     std::string metric;  ///< "events_per_sec", "host_seconds", ...
     double baseline = 0.0;
     double candidate = 0.0;
-    /** Slowdown factor, >1 == candidate is slower. */
+    /** Cost factor candidate/baseline (baseline/candidate for
+     * rates), >1 == candidate is worse; 0 for a missing entry. */
     double factor = 1.0;
     bool regression = false;  ///< factor exceeded the gate
 };
 
 /**
  * Diff @p candidate against @p baseline: a micro entry is gated on
- * its events/sec ratio, a cell on its host-seconds ratio. Only a
- * slowdown beyond @p fail_factor (e.g. 2.0 == half the speed) is a
- * regression — the gate is deliberately loose because absolute host
- * speed varies by machine and load. Entries present on only one side
- * are reported with factor 0 and never gate.
+ * its events/sec ratio, a cell on its host-seconds, events and
+ * allocations ratios. Only growth beyond @p fail_factor (e.g. 2.0 ==
+ * half the speed, or twice the events) is a regression — the gate is
+ * deliberately loose because absolute host speed varies by machine
+ * and load. A zero baseline value (allocations in files that predate
+ * the column) never gates. Entries present on only one side are
+ * reported with factor 0 and never gate.
  */
 std::vector<BenchDelta> compareBench(const BenchReport &baseline,
                                      const BenchReport &candidate,

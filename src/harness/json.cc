@@ -518,5 +518,65 @@ parse(const std::string &text, const std::string &what)
     return p.document();
 }
 
+namespace {
+
+/** @p obj's member @p key, fatal unless it is of @p kind (a Double
+ * request also accepts an Int). */
+const Value &
+require(const Value &obj, const char *key, const char *what,
+        Value::Kind kind)
+{
+    const Value &m = obj.at(key);
+    if (m.kind() == kind ||
+        (kind == Value::Kind::Double && m.kind() == Value::Kind::Int))
+        return m;
+    // Indexed by Kind.
+    static constexpr const char *expected[] = {
+        "null",     "a bool",   "an integer", "a number",
+        "a string", "an array", "an object",
+    };
+    fatal("%s member '%s' is missing or not %s", what, key,
+          expected[static_cast<std::size_t>(kind)]);
+}
+
+} // namespace
+
+std::uint64_t
+requireU64(const Value &obj, const char *key, const char *what)
+{
+    return static_cast<std::uint64_t>(
+        require(obj, key, what, Value::Kind::Int).asInt());
+}
+
+double
+requireNumber(const Value &obj, const char *key, const char *what)
+{
+    return require(obj, key, what, Value::Kind::Double).asDouble();
+}
+
+bool
+requireBool(const Value &obj, const char *key, const char *what)
+{
+    return require(obj, key, what, Value::Kind::Bool).asBool();
+}
+
+const std::string &
+requireString(const Value &obj, const char *key, const char *what)
+{
+    return require(obj, key, what, Value::Kind::String).asString();
+}
+
+const Array &
+requireArray(const Value &obj, const char *key, const char *what)
+{
+    return require(obj, key, what, Value::Kind::Array).asArray();
+}
+
+const Value &
+requireObject(const Value &obj, const char *key, const char *what)
+{
+    return require(obj, key, what, Value::Kind::Object);
+}
+
 } // namespace json
 } // namespace carve

@@ -144,6 +144,24 @@ Value parse(const std::string &text, const std::string &what = "json");
 /** Render a double exactly as dump() does (shortest round-trip form). */
 std::string formatDouble(double v);
 
+/**
+ * Checked member reads for document loaders. Each looks @p key up in
+ * @p obj once and fatal()s, naming @p what (the part being read, e.g.
+ * "results: run record") and the key, when the member is missing or
+ * of the wrong kind; a non-object @p obj has no members.
+ */
+std::uint64_t requireU64(const Value &obj, const char *key,
+                         const char *what);
+/** An Int or Double member, as a double. */
+double requireNumber(const Value &obj, const char *key, const char *what);
+bool requireBool(const Value &obj, const char *key, const char *what);
+const std::string &requireString(const Value &obj, const char *key,
+                                 const char *what);
+const Array &requireArray(const Value &obj, const char *key,
+                          const char *what);
+const Value &requireObject(const Value &obj, const char *key,
+                           const char *what);
+
 } // namespace json
 } // namespace carve
 

@@ -16,31 +16,25 @@ namespace harness {
 
 namespace {
 
+// Checked reads of run-record members (see json::requireU64).
+constexpr const char *kRecord = "results: run record";
+
 std::uint64_t
 u64At(const json::Value &v, const char *key)
 {
-    if (v.at(key).kind() != json::Value::Kind::Int)
-        fatal("results: run record member '%s' is missing or not an "
-              "integer", key);
-    return static_cast<std::uint64_t>(v.at(key).asInt());
+    return json::requireU64(v, key, kRecord);
 }
 
 double
 dblAt(const json::Value &v, const char *key)
 {
-    if (!v.at(key).isNumber())
-        fatal("results: run record member '%s' is missing or not a "
-              "number", key);
-    return v.at(key).asDouble();
+    return json::requireNumber(v, key, kRecord);
 }
 
 const std::string &
 strAt(const json::Value &v, const char *key)
 {
-    if (!v.at(key).isString())
-        fatal("results: run record member '%s' is missing or not a "
-              "string", key);
-    return v.at(key).asString();
+    return json::requireString(v, key, kRecord);
 }
 
 json::Value
@@ -103,8 +97,23 @@ gitDescribe()
 {
     // Not part of the determinism contract (same tree -> same
     // string); purely provenance for humans reading result files.
-    std::FILE *p = popen(
-        "git describe --always --dirty 2>/dev/null", "r");
+    // git runs in this source file's directory (CMake compiles with
+    // absolute paths), so the answer names the checkout the binary
+    // was built from, wherever it runs.
+    std::string dir = __FILE__;
+    const std::size_t slash = dir.rfind('/');
+    dir = slash == std::string::npos ? "." : dir.substr(0, slash);
+    std::string quoted = "'";
+    for (const char c : dir) {
+        if (c == '\'')
+            quoted += "'\\''";
+        else
+            quoted += c;
+    }
+    quoted += "'";
+    const std::string cmd =
+        "git -C " + quoted + " describe --always --dirty 2>/dev/null";
+    std::FILE *p = popen(cmd.c_str(), "r");
     if (!p)
         return "unknown";
     char buf[128];
@@ -184,9 +193,8 @@ resultFromJson(json::Value v)
     r.sim.cycles = u64At(s, "cycles");
     r.sim.warp_insts = u64At(s, "warp_insts");
     r.sim.frac_remote = dblAt(s, "frac_remote");
-    if (!s.at("traffic").isObject())
-        fatal("results: run record member 'traffic' is not an object");
-    r.sim.traffic = trafficFromJson(s.at("traffic"));
+    r.sim.traffic =
+        trafficFromJson(json::requireObject(s, "traffic", kRecord));
     r.sim.gpu_gpu_bytes = u64At(s, "gpu_gpu_bytes");
     r.sim.cpu_gpu_bytes = u64At(s, "cpu_gpu_bytes");
     r.sim.rdc_hits = u64At(s, "rdc_hits");
@@ -259,15 +267,14 @@ readResultsFile(const std::string &path)
     std::ostringstream ss;
     ss << is.rdbuf();
     json::Value doc = json::parse(ss.str(), path);
-    const std::string schema =
-        doc.isObject() && doc.has("schema")
-            ? doc.at("schema").asString()
-            : std::string();
     // v1 files (no stat trees) remain readable; comparison simply
-    // has no per-stat annotations for them.
-    if (schema != kResultsSchema && schema != kResultsSchemaV1) {
-        fatal("'%s' is not a %s file", path.c_str(),
-              kResultsSchema);
+    // has no per-stat annotations for them. A missing or non-string
+    // schema is a mismatch like any other.
+    const json::Value &schema = doc.at("schema");
+    if (!schema.isString() || (schema.asString() != kResultsSchema &&
+                               schema.asString() != kResultsSchemaV1)) {
+        fatal("'%s' is not a %s file (member 'schema' differs)",
+              path.c_str(), kResultsSchema);
     }
     return doc;
 }

@@ -92,16 +92,12 @@ class Link
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("bytes", &bytes_sent_, "payload bytes accepted");
-        g.addScalar("packets", &packets_, "packets accepted");
-        g.addScalar("busy_cycles", &busy_cycles_,
-                    "cycles the wire was occupied");
-        g.addAverage("queue_delay", &queue_delay_,
-                     "cycles packets waited for the wire");
+        g.addScalar("bytes", &bytes_sent_);
+        g.addScalar("packets", &packets_);
+        g.addScalar("busy_cycles", &busy_cycles_);
+        g.addAverage("queue_delay", &queue_delay_);
         if (queue_.histogram())
-            g.addHistogram("queue_delay_cycles", &queue_delay_hist_,
-                           "distribution of cycles packets waited "
-                           "for the wire");
+            g.addHistogram("queue_delay_cycles", &queue_delay_hist_);
     }
 
   private:
@@ -115,10 +111,10 @@ class Link
     trace::Probe queue_;  ///< packet arrival -> wire start
     trace::Probe wire_;   ///< wire occupancy
 
-    stats::Scalar bytes_sent_;
+    stats::Scalar bytes_sent_;   ///< payload bytes accepted
     stats::Scalar packets_;
-    stats::Scalar busy_cycles_;
-    stats::Average queue_delay_;
+    stats::Scalar busy_cycles_;  ///< cycles the wire was occupied
+    stats::Average queue_delay_; ///< cycles packets waited for the wire
     telemetry::Histogram queue_delay_hist_;
 };
 

@@ -60,8 +60,6 @@ class Network
     /** Aggregate CPU<->GPU payload bytes moved. */
     std::uint64_t totalCpuGpuBytes() const;
 
-    /** Size in bytes of a coherence control packet. */
-    unsigned ctrlPacketSize() const { return cfg_.ctrl_packet_size; }
 
     unsigned numGpus() const { return num_gpus_; }
 

@@ -50,7 +50,6 @@ class AddressMapping
     DramCoord decode(Addr addr) const;
 
     unsigned channels() const { return channels_; }
-    unsigned banksPerChannel() const { return banks_; }
 
     /** Lines that share one row buffer. */
     std::uint64_t linesPerRow() const { return lines_per_row_; }

@@ -84,8 +84,6 @@ class DramChannel
     std::uint64_t busyCycles() const { return busy_cycles_.value(); }
     /** Row-buffer hit rate across all banks. */
     double rowHitRate() const;
-    /** Mean queueing delay of completed reads, in cycles. */
-    double meanReadQueueDelay() const { return read_q_delay_.mean(); }
 
     /** Per-bank accessor (tests). */
     const DramBank &bank(unsigned i) const { return banks_[i]; }
@@ -106,14 +104,10 @@ class DramChannel
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("reads_issued", &reads_issued_,
-                    "reads issued to banks");
-        g.addScalar("writes_issued", &writes_issued_,
-                    "writes issued to banks");
-        g.addScalar("busy_cycles", &busy_cycles_,
-                    "cycles the data bus was occupied");
-        g.addAverage("read_q_delay", &read_q_delay_,
-                     "queueing delay of completed reads (cycles)");
+        g.addScalar("reads_issued", &reads_issued_);
+        g.addScalar("writes_issued", &writes_issued_);
+        g.addScalar("busy_cycles", &busy_cycles_);
+        g.addAverage("read_q_delay", &read_q_delay_);
     }
 
   private:
@@ -144,8 +138,8 @@ class DramChannel
 
     stats::Scalar reads_issued_;
     stats::Scalar writes_issued_;
-    stats::Scalar busy_cycles_;
-    stats::Average read_q_delay_;
+    stats::Scalar busy_cycles_;    ///< cycles the data bus was occupied
+    stats::Average read_q_delay_;  ///< cycles completed reads queued
 };
 
 } // namespace carve

@@ -81,10 +81,9 @@ MemoryController::drainStaged(unsigned ch)
 void
 MemoryController::registerStats(stats::StatGroup &g)
 {
-    g.addScalar("reads", &reads_, "read accesses accepted");
-    g.addScalar("writes", &writes_, "write accesses accepted");
-    g.addDerived("row_hit_rate", [this] { return rowHitRate(); },
-                 "aggregate row-buffer hit rate");
+    g.addScalar("reads", &reads_);
+    g.addScalar("writes", &writes_);
+    g.addDerived("row_hit_rate", [this] { return rowHitRate(); });
     for (std::size_t i = 0; i < channels_.size(); ++i) {
         auto child = std::make_unique<stats::StatGroup>(
             "ch" + std::to_string(i), &g);

@@ -46,14 +46,13 @@ class MigrationEngine
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("migrations", &migrations_,
-                    "page-home changes performed");
+        g.addScalar("migrations", &migrations_);
     }
 
   private:
     const NumaConfig &cfg_;
     PageTable &table_;
-    stats::Scalar migrations_;
+    stats::Scalar migrations_;  ///< page-home changes performed
 };
 
 } // namespace carve

@@ -225,14 +225,12 @@ PageManager::homeOf(Addr addr) const
 void
 PageManager::registerStats(stats::StatGroup &g)
 {
-    g.addScalar("first_touches", &first_touches_,
-                "first-touch placements performed");
+    g.addScalar("first_touches", &first_touches_);
     migration_.registerStats(g);
     replication_.registerStats(g);
     um_.registerStats(g);
     g.addDerived("capacity_pressure",
-                 [this] { return table_.capacityPressure(); },
-                 "peak fraction of GPU memory capacity in use");
+                 [this] { return table_.capacityPressure(); });
     sharing_group_ = std::make_unique<stats::StatGroup>("sharing", &g);
     profiler_.registerStats(*sharing_group_);
 }

@@ -108,7 +108,6 @@ class PageManager
     {
         return replication_;
     }
-    const UnifiedMemory &unifiedMemory() const { return um_; }
 
     /** First-touch placements performed. */
     std::uint64_t firstTouches() const { return first_touches_.value(); }

@@ -61,20 +61,17 @@ class ReplicationManager
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("replications", &replications_,
-                    "read-only replicas created");
-        g.addScalar("collapses", &collapses_,
-                    "replica collapse events on writes");
-        g.addScalar("capacity_skips", &capacity_skips_,
-                    "replications skipped for lack of capacity");
+        g.addScalar("replications", &replications_);
+        g.addScalar("collapses", &collapses_);
+        g.addScalar("capacity_skips", &capacity_skips_);
     }
 
   private:
     const NumaConfig &cfg_;
     PageTable &table_;
-    stats::Scalar replications_;
-    stats::Scalar collapses_;
-    stats::Scalar capacity_skips_;
+    stats::Scalar replications_;    ///< read-only replicas created
+    stats::Scalar collapses_;       ///< replica collapses on writes
+    stats::Scalar capacity_skips_;  ///< skipped for lack of capacity
 };
 
 } // namespace carve

@@ -177,32 +177,23 @@ void
 SharingProfiler::registerStats(stats::StatGroup &g)
 {
     g.addDerivedInt("page_private",
-                    [this] { return pageBreakdown().private_accesses; },
-                    "accesses to single-node pages");
+                    [this] { return pageBreakdown().private_accesses; });
     g.addDerivedInt("page_read_only",
-                    [this] { return pageBreakdown().read_only_shared; },
-                    "accesses to read-only shared pages");
+                    [this] { return pageBreakdown().read_only_shared; });
     g.addDerivedInt("page_read_write",
-                    [this] { return pageBreakdown().read_write_shared; },
-                    "accesses to read-write shared pages");
+                    [this] { return pageBreakdown().read_write_shared; });
     g.addDerivedInt("line_private",
-                    [this] { return lineBreakdown().private_accesses; },
-                    "accesses to single-node lines");
+                    [this] { return lineBreakdown().private_accesses; });
     g.addDerivedInt("line_read_only",
-                    [this] { return lineBreakdown().read_only_shared; },
-                    "accesses to read-only shared lines");
+                    [this] { return lineBreakdown().read_only_shared; });
     g.addDerivedInt("line_read_write",
-                    [this] { return lineBreakdown().read_write_shared; },
-                    "accesses to read-write shared lines");
+                    [this] { return lineBreakdown().read_write_shared; });
     g.addDerivedInt("shared_page_bytes",
-                    [this] { return sharedPageFootprint(); },
-                    "bytes of pages touched by more than one node");
+                    [this] { return sharedPageFootprint(); });
     g.addDerivedInt("shared_line_bytes",
-                    [this] { return sharedLineFootprint(); },
-                    "bytes of lines touched by more than one node");
+                    [this] { return sharedLineFootprint(); });
     g.addDerivedInt("total_page_bytes",
-                    [this] { return totalPageFootprint(); },
-                    "bytes of pages touched at all");
+                    [this] { return totalPageFootprint(); });
 }
 
 } // namespace carve

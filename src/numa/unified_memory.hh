@@ -42,14 +42,13 @@ class UnifiedMemory
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("um_migrations", &migrations_,
-                    "pages pulled from system memory into a GPU");
+        g.addScalar("um_migrations", &migrations_);
     }
 
   private:
     const NumaConfig &cfg_;
     PageTable &table_;
-    stats::Scalar migrations_;
+    stats::Scalar migrations_;  ///< pages pulled from system memory
 };
 
 } // namespace carve

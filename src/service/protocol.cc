@@ -31,51 +31,6 @@ parseRegionKind(const std::string &s)
     fatal("job: unknown region kind '%s'", s.c_str());
 }
 
-/** Member lookup that fails loudly instead of returning null. */
-const json::Value &
-require(const json::Value &v, const char *key, const char *what)
-{
-    if (!v.has(key))
-        fatal("job: %s is missing member '%s'", what, key);
-    return v.at(key);
-}
-
-std::uint64_t
-requireU64(const json::Value &v, const char *key, const char *what)
-{
-    const json::Value &m = require(v, key, what);
-    if (m.kind() != json::Value::Kind::Int)
-        fatal("job: %s member '%s' must be an integer", what, key);
-    return static_cast<std::uint64_t>(m.asInt());
-}
-
-double
-requireDouble(const json::Value &v, const char *key, const char *what)
-{
-    const json::Value &m = require(v, key, what);
-    if (!m.isNumber())
-        fatal("job: %s member '%s' must be a number", what, key);
-    return m.asDouble();
-}
-
-bool
-requireBool(const json::Value &v, const char *key, const char *what)
-{
-    const json::Value &m = require(v, key, what);
-    if (m.kind() != json::Value::Kind::Bool)
-        fatal("job: %s member '%s' must be a bool", what, key);
-    return m.asBool();
-}
-
-std::string
-requireString(const json::Value &v, const char *key, const char *what)
-{
-    const json::Value &m = require(v, key, what);
-    if (!m.isString())
-        fatal("job: %s member '%s' must be a string", what, key);
-    return m.asString();
-}
-
 json::Value
 regionToJson(const RegionSpec &r)
 {
@@ -93,15 +48,15 @@ regionToJson(const RegionSpec &r)
 RegionSpec
 regionFromJson(const json::Value &v)
 {
+    constexpr const char *what = "job: region";
     RegionSpec r;
-    r.kind = parseRegionKind(requireString(v, "kind", "region"));
-    r.bytes = requireU64(v, "bytes", "region");
-    r.access_frac = requireDouble(v, "access_frac", "region");
-    r.write_frac = requireDouble(v, "write_frac", "region");
-    r.zipf = requireDouble(v, "zipf", "region");
-    r.lanes =
-        static_cast<std::uint8_t>(requireU64(v, "lanes", "region"));
-    r.neighbor_frac = requireDouble(v, "neighbor_frac", "region");
+    r.kind = parseRegionKind(json::requireString(v, "kind", what));
+    r.bytes = json::requireU64(v, "bytes", what);
+    r.access_frac = json::requireNumber(v, "access_frac", what);
+    r.write_frac = json::requireNumber(v, "write_frac", what);
+    r.zipf = json::requireNumber(v, "zipf", what);
+    r.lanes = static_cast<std::uint8_t>(json::requireU64(v, "lanes", what));
+    r.neighbor_frac = json::requireNumber(v, "neighbor_frac", what);
     return r;
 }
 
@@ -127,23 +82,21 @@ workloadToJson(const WorkloadParams &w)
 WorkloadParams
 workloadFromJson(const json::Value &v)
 {
+    constexpr const char *what = "job: workload";
     WorkloadParams w;
-    w.name = requireString(v, "name", "workload");
-    w.kernels = static_cast<unsigned>(
-        requireU64(v, "kernels", "workload"));
-    w.ctas = requireU64(v, "ctas", "workload");
-    w.warps_per_cta = static_cast<unsigned>(
-        requireU64(v, "warps_per_cta", "workload"));
-    w.insts_per_warp = requireU64(v, "insts_per_warp", "workload");
+    w.name = json::requireString(v, "name", what);
+    w.kernels =
+        static_cast<unsigned>(json::requireU64(v, "kernels", what));
+    w.ctas = json::requireU64(v, "ctas", what);
+    w.warps_per_cta =
+        static_cast<unsigned>(json::requireU64(v, "warps_per_cta", what));
+    w.insts_per_warp = json::requireU64(v, "insts_per_warp", what);
     w.compute_min = static_cast<std::uint16_t>(
-        requireU64(v, "compute_min", "workload"));
+        json::requireU64(v, "compute_min", what));
     w.compute_max = static_cast<std::uint16_t>(
-        requireU64(v, "compute_max", "workload"));
-    w.iterative = requireBool(v, "iterative", "workload");
-    const json::Value &regions = require(v, "regions", "workload");
-    if (!regions.isArray())
-        fatal("job: workload member 'regions' must be an array");
-    for (const json::Value &r : regions.asArray())
+        json::requireU64(v, "compute_max", what));
+    w.iterative = json::requireBool(v, "iterative", what);
+    for (const json::Value &r : json::requireArray(v, "regions", what))
         w.regions.push_back(regionFromJson(r));
     return w;
 }
@@ -188,36 +141,36 @@ jobSpecToJson(const JobSpec &spec)
 JobSpec
 jobSpecFromJson(const json::Value &v)
 {
-    const std::string schema = requireString(v, "schema", "job");
+    const std::string &schema = json::requireString(v, "schema", "job");
     if (schema != kJobSchema) {
         fatal("job: schema mismatch: got '%s', this server speaks "
               "'%s'", schema.c_str(), kJobSchema);
     }
     JobSpec spec;
-    spec.preset = requireString(v, "preset", "job");
-    spec.workload = workloadFromJson(require(v, "workload", "job"));
-    const json::Value &cfg = require(v, "config", "job");
-    if (!cfg.isObject())
-        fatal("job: member 'config' must be an object");
+    spec.preset = json::requireString(v, "preset", "job");
+    spec.workload =
+        workloadFromJson(json::requireObject(v, "workload", "job"));
+    const json::Value &cfg = json::requireObject(v, "config", "job");
     for (const auto &[key, value] : cfg.asObject()) {
         if (!value.isString())
             fatal("job: config value for '%s' must be a string",
                   key.c_str());
         spec.base.applyOverride(key, value.asString());
     }
-    const json::Value &opts = require(v, "options", "job");
-    spec.opts.seed = requireU64(opts, "seed", "options");
-    spec.opts.max_cycles = requireU64(opts, "max_cycles", "options");
+    constexpr const char *what = "job: options";
+    const json::Value &opts = json::requireObject(v, "options", "job");
+    spec.opts.seed = json::requireU64(opts, "seed", what);
+    spec.opts.max_cycles = json::requireU64(opts, "max_cycles", what);
     spec.opts.max_wall_seconds =
-        requireDouble(opts, "max_wall_seconds", "options");
-    spec.opts.profile_lines =
-        requireBool(opts, "profile_lines", "options");
-    spec.opts.audit = requireBool(opts, "audit", "options");
-    const json::Value &tel = require(opts, "telemetry", "options");
-    spec.opts.telemetry.enabled = requireBool(tel, "enabled", "telemetry");
+        json::requireNumber(opts, "max_wall_seconds", what);
+    spec.opts.profile_lines = json::requireBool(opts, "profile_lines", what);
+    spec.opts.audit = json::requireBool(opts, "audit", what);
+    const json::Value &tel = json::requireObject(opts, "telemetry", what);
+    spec.opts.telemetry.enabled =
+        json::requireBool(tel, "enabled", "job: telemetry");
     spec.opts.telemetry.host_timing =
-        requireBool(tel, "host_timing", "telemetry");
-    spec.host_stats = requireBool(opts, "host_stats", "options");
+        json::requireBool(tel, "host_timing", "job: telemetry");
+    spec.host_stats = json::requireBool(opts, "host_stats", what);
     return spec;
 }
 

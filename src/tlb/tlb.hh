@@ -65,9 +65,9 @@ class TlbHierarchy
     void
     registerStats(stats::StatGroup &g)
     {
-        g.addScalar("l1_hits", &l1_hits_, "per-SM L1 TLB hits");
-        g.addScalar("l2_hits", &l2_hits_, "shared L2 TLB hits");
-        g.addScalar("walks", &walks_, "full misses (page walks)");
+        g.addScalar("l1_hits", &l1_hits_);
+        g.addScalar("l2_hits", &l2_hits_);
+        g.addScalar("walks", &walks_);
     }
 
   private:
@@ -78,7 +78,7 @@ class TlbHierarchy
 
     stats::Scalar l1_hits_;
     stats::Scalar l2_hits_;
-    stats::Scalar walks_;
+    stats::Scalar walks_;  ///< full misses (page walks)
 };
 
 } // namespace carve

@@ -66,9 +66,11 @@ TEST(InflightTracker, StatsRegisterUnderBoundaryNames)
     stats::StatGroup root("");
     t.registerStats(root);
     t.issue(Boundary::LinkDelivery);
-    EXPECT_NE(root.findScalar("link_delivery_issued"), nullptr);
-    EXPECT_EQ(root.findScalar("link_delivery_issued")->value(), 1u);
-    EXPECT_EQ(root.findScalar("link_delivery_retired")->value(), 0u);
+    const auto flat = stats::flattenStats(root);
+    ASSERT_NE(stats::lookup(flat, "link_delivery_issued"), nullptr);
+    EXPECT_EQ(stats::lookup(flat, "link_delivery_issued")->u64, 1u);
+    ASSERT_NE(stats::lookup(flat, "link_delivery_retired"), nullptr);
+    EXPECT_EQ(stats::lookup(flat, "link_delivery_retired")->u64, 0u);
 }
 
 // ---- probe conservation ---------------------------------------------
@@ -258,14 +260,15 @@ TEST(AuditSystem, CleanAuditedRunPasses)
     EXPECT_NO_THROW(sys.run());
     EXPECT_TRUE(sys.finished());
     // Token counters are exposed in the tree and balanced.
-    const stats::Scalar *issued =
-        sys.stats().findScalar("audit.inflight.dram_access_issued");
-    const stats::Scalar *retired =
-        sys.stats().findScalar("audit.inflight.dram_access_retired");
+    const auto flat = stats::flattenStats(sys.stats());
+    const stats::FlatStat *issued =
+        stats::lookup(flat, "audit.inflight.dram_access_issued");
+    const stats::FlatStat *retired =
+        stats::lookup(flat, "audit.inflight.dram_access_retired");
     ASSERT_NE(issued, nullptr);
     ASSERT_NE(retired, nullptr);
-    EXPECT_GT(issued->value(), 0u);
-    EXPECT_EQ(issued->value(), retired->value());
+    EXPECT_GT(issued->u64, 0u);
+    EXPECT_EQ(issued->u64, retired->u64);
 }
 
 TEST(AuditSystem, WritebackSwcAuditedRunPasses)
@@ -290,12 +293,11 @@ TEST(AuditSystem, NonAuditRunRegistersNoAuditStats)
     SyntheticWorkload wl(p, cfg.line_size, 1);
     MultiGpuSystem sys(cfg, wl, false);
     EXPECT_FALSE(sys.auditEnabled());
-    EXPECT_EQ(
-        sys.stats().findScalar("audit.inflight.dram_access_issued"),
-        nullptr);
-    // The fabric ledger is cheap and always present.
-    EXPECT_NE(sys.stats().findScalar("fabric.remote_read_msgs"),
+    const auto flat = stats::flattenStats(sys.stats());
+    EXPECT_EQ(stats::lookup(flat, "audit.inflight.dram_access_issued"),
               nullptr);
+    // The fabric ledger is cheap and always present.
+    EXPECT_NE(stats::lookup(flat, "fabric.remote_read_msgs"), nullptr);
 }
 
 TEST(AuditSystem, LeakedMshrEntryIsReported)

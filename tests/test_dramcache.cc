@@ -126,7 +126,7 @@ TEST(Alloy, ResetAllClearsEverything)
     for (Addr i = 0; i < 100; ++i)
         a.insert(i * 128, 0);
     EXPECT_EQ(a.touchedSets(), 100u);
-    a.resetAll();
+    a.clear();
     EXPECT_EQ(a.touchedSets(), 0u);
     EXPECT_EQ(a.lookup(0, 0), RdcLookup::Miss);
 }

@@ -201,7 +201,7 @@ TEST(TelemetryStats, HistogramFlattensToSixIntegralEntries)
 
     stats::StatGroup root("");
     stats::StatGroup g("gpu0", &root);
-    g.addHistogram("park_duration", &h, "MSHR park cycles");
+    g.addHistogram("park_duration", &h);
 
     const auto flat = stats::flattenStats(root);
     std::vector<std::string> names;
@@ -223,30 +223,18 @@ TEST(TelemetryStats, HistogramFlattensToSixIntegralEntries)
     EXPECT_EQ(flat[5].u64, 160u);  // sum
 }
 
-TEST(TelemetryStats, FindHistogramAndNameClashGuard)
+TEST(TelemetryStats, LookupFindsHistogramEntries)
 {
     Histogram h;
-    stats::StatGroup root("");
-    root.addHistogram("lat", &h);
-    EXPECT_EQ(root.findHistogram("lat"), &h);
-    EXPECT_EQ(root.findHistogram("nope"), nullptr);
-}
-
-TEST(TelemetryStats, ScalarSnapshotIgnoresHistograms)
-{
-    // Epoch deltas walk scalars only; a histogram must not perturb
-    // the snapshot size or ordering.
-    stats::Scalar c;
-    Histogram h;
-    stats::StatGroup root("");
-    root.addScalar("count", &c);
-    root.addHistogram("lat", &h);
-    c += 4;
     h.sample(9);
-    const auto snap = stats::snapshotScalars(root);
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].first, "count");
-    EXPECT_EQ(snap[0].second, 4u);
+    stats::StatGroup root("");
+    root.addHistogram("lat", &h);
+    const auto flat = stats::flattenStats(root);
+    ASSERT_NE(stats::lookup(flat, "lat.count"), nullptr);
+    EXPECT_EQ(stats::lookup(flat, "lat.count")->u64, 1u);
+    EXPECT_EQ(stats::lookup(flat, "lat.max")->u64, 9u);
+    EXPECT_EQ(stats::lookup(flat, "lat"), nullptr);
+    EXPECT_EQ(stats::lookup(flat, "nope.count"), nullptr);
 }
 
 // ---- Prometheus rendering ------------------------------------------

@@ -16,8 +16,9 @@
  * Results are written as a "carve-bench/v1" JSON file (default
  * BENCH_<date>.json). With --baseline the report is compared against
  * a committed bench file and the exit status gates only on a >
- * --fail-factor slowdown (default 2x) — loose on purpose, because
- * absolute host speed varies by machine; CI uses this as an
+ * --fail-factor slowdown (default 2x), or on a cell's events or
+ * allocations growing by more than that factor — loose on purpose,
+ * because absolute host speed varies by machine; CI uses this as an
  * informational tripwire, not a tight perf lock.
  *
  * Examples:
@@ -173,8 +174,9 @@ usage()
         "                     (default 5e6; --smoke uses 1e6)\n"
         "  --out FILE         output path (default BENCH_<date>.json)\n"
         "  --baseline FILE    compare against a bench file; exit 1\n"
-        "                     only on a > fail-factor slowdown\n"
-        "  --fail-factor X    slowdown gate (default 2.0)\n"
+        "                     only on a > fail-factor slowdown or\n"
+        "                     events/allocations growth\n"
+        "  --fail-factor X    gate factor (default 2.0)\n"
         "  --help             this text\n");
 }
 
