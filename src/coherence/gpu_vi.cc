@@ -7,11 +7,9 @@
 namespace carve {
 
 GpuVi::GpuVi(const SystemConfig &cfg, unsigned num_gpus,
-             CoherenceOps ops, bool use_imst)
-    : cfg_(cfg), num_gpus_(num_gpus), ops_(std::move(ops)),
-      use_imst_(use_imst)
+             SystemFabric &fabric)
+    : cfg_(cfg), num_gpus_(num_gpus), fabric_(fabric)
 {
-    carve_assert(ops_.invalidate_at && ops_.send_ctrl);
     imsts_.reserve(num_gpus);
     for (unsigned g = 0; g < num_gpus; ++g)
         imsts_.emplace_back(g, 0.01, cfg.seed + 101);
@@ -33,10 +31,6 @@ GpuVi::onWrite(NodeId home, NodeId requester, Addr line_addr)
     bool needs_invalidate = false;
     imsts_[home].onAccess(line_addr, requester, AccessType::Write,
                           needs_invalidate);
-    if (!use_imst_) {
-        // Unfiltered GPU-VI: every store broadcasts.
-        needs_invalidate = true;
-    }
     if (!needs_invalidate)
         return 0;
 
@@ -46,8 +40,8 @@ GpuVi::onWrite(NodeId home, NodeId requester, Addr line_addr)
             continue;
         // The home node drops its own copies without a network hop.
         if (node != home)
-            ops_.send_ctrl(home, node, cfg_.link.ctrl_packet_size);
-        ops_.invalidate_at(node, line_addr);
+            fabric_.sendCtrl(home, node, cfg_.link.ctrl_packet_size);
+        fabric_.invalidateAt(node, line_addr);
         ++sent;
         invalidates_sent_.inc();
     }

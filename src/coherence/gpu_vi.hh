@@ -6,14 +6,13 @@
  * Directory-less write-invalidate protocol: caches are write-through;
  * a write observed at a line's home node broadcasts invalidates to
  * every other GPU *unless* the IMST proves the line is private. The
- * engine owns one IMST per home node and calls back into the system
- * to invalidate remote copies and charge control-packet traffic.
+ * engine owns one IMST per home node and reaches the other GPUs
+ * through the SystemFabric (control packets and invalidates).
  */
 
 #ifndef CARVE_COHERENCE_GPU_VI_HH
 #define CARVE_COHERENCE_GPU_VI_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -22,18 +21,9 @@
 #include "common/domain_engine.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "gpu/fabric.hh"
 
 namespace carve {
-
-/** Plumbing into the rest of the system, wired by MultiGpuSystem. */
-struct CoherenceOps
-{
-    /** Drop every cached copy of @p line at @p node (RDC + LLC). */
-    std::function<void(NodeId node, Addr line)> invalidate_at;
-    /** Transmit a control packet of @p bytes from @p src to @p dst. */
-    std::function<void(NodeId src, NodeId dst, unsigned bytes)>
-        send_ctrl;
-};
 
 /**
  * System-wide GPU-VI + IMST coherence.
@@ -44,13 +34,10 @@ class GpuVi
     /**
      * @param cfg system configuration (control-packet size, demotion)
      * @param num_gpus node count
-     * @param ops invalidation/traffic callbacks
-     * @param use_imst when false every write to remote-visible memory
-     *        broadcasts (the unfiltered GPU-VI baseline, used by the
-     *        IMST ablation bench)
+     * @param fabric control packets and invalidates of the fan-out
      */
-    GpuVi(const SystemConfig &cfg, unsigned num_gpus, CoherenceOps ops,
-          bool use_imst = true);
+    GpuVi(const SystemConfig &cfg, unsigned num_gpus,
+          SystemFabric &fabric);
 
     /**
      * Record a read observed at @p home's memory controller.
@@ -85,8 +72,6 @@ class GpuVi
     /** Writes whose broadcast the IMST filtered away. */
     std::uint64_t writesFiltered() const;
 
-    bool usesImst() const { return use_imst_; }
-
     /** Register engine counters plus one "imst<h>" child group per
      * home node into @p g (child groups owned here). */
     void registerStats(stats::StatGroup &g);
@@ -94,8 +79,7 @@ class GpuVi
   private:
     const SystemConfig &cfg_;
     unsigned num_gpus_;
-    CoherenceOps ops_;
-    bool use_imst_;
+    SystemFabric &fabric_;
     std::vector<Imst> imsts_;
     std::vector<std::unique_ptr<stats::StatGroup>> imst_groups_;
 

@@ -12,14 +12,13 @@ Arena::Arena(std::size_t chunk_bytes, int numa_node)
 }
 
 Arena::Arena(Arena &&other) noexcept
-    : chunks_(std::move(other.chunks_)), active_(other.active_),
+    : chunks_(std::move(other.chunks_)),
       chunk_bytes_(other.chunk_bytes_),
       used_bytes_(other.used_bytes_),
       reserved_bytes_(other.reserved_bytes_),
       numa_node_(other.numa_node_)
 {
     other.chunks_.clear();
-    other.active_ = 0;
     other.used_bytes_ = 0;
     other.reserved_bytes_ = 0;
 }
@@ -73,8 +72,8 @@ Arena::allocate(std::size_t bytes, std::size_t align)
     if (align == 0 || (align & (align - 1)) != 0)
         fatal("Arena::allocate: bad alignment %zu", align);
 
-    // Oversized request: dedicated chunk, inserted *behind* the
-    // active one so the bump chunk stays on top.
+    // Oversized request: dedicated chunk, inserted *in front of*
+    // the bump chunk so that one stays last.
     if (bytes + align > chunk_bytes_) {
         Chunk c = makeChunk(bytes + align);
         const std::size_t base =
@@ -83,34 +82,22 @@ Arena::allocate(std::size_t bytes, std::size_t align)
         c.used = off + bytes;
         used_bytes_ += bytes;
         CARVE_UNPOISON(c.base + off, bytes);
-        if (chunks_.empty()) {
-            // No bump chunk yet: the dedicated chunk becomes the
-            // (nearly full) active one; the next small request rolls
-            // over to a fresh slab via the usual overflow path.
-            chunks_.push_back(c);
-        } else {
-            chunks_.insert(chunks_.begin(), c);
-            ++active_;
-        }
+        // With no bump chunk yet, the dedicated chunk becomes the
+        // (nearly full) bump chunk; the next small request rolls over
+        // to a fresh slab via the usual overflow path.
+        chunks_.insert(chunks_.begin(), c);
         return c.base + off;
     }
 
-    if (chunks_.empty()) {
+    if (chunks_.empty())
         chunks_.push_back(makeChunk(chunk_bytes_));
-        active_ = 0;
-    }
-    Chunk *c = &chunks_[active_];
+    Chunk *c = &chunks_.back();
     std::size_t off =
         (reinterpret_cast<std::uintptr_t>(c->base) + c->used);
     std::size_t pad = (align - off % align) % align;
     if (c->used + pad + bytes > c->size) {
-        if (active_ + 1 < chunks_.size()) {
-            ++active_;  // reset() kept a rewound chunk around
-        } else {
-            chunks_.push_back(makeChunk(chunk_bytes_));
-            active_ = chunks_.size() - 1;
-        }
-        c = &chunks_[active_];
+        chunks_.push_back(makeChunk(chunk_bytes_));
+        c = &chunks_.back();
         off = (reinterpret_cast<std::uintptr_t>(c->base) + c->used);
         pad = (align - off % align) % align;
     }
@@ -119,17 +106,6 @@ Arena::allocate(std::size_t bytes, std::size_t align)
     used_bytes_ += bytes;
     CARVE_UNPOISON(p, bytes);
     return p;
-}
-
-void
-Arena::reset()
-{
-    for (Chunk &c : chunks_) {
-        c.used = 0;
-        CARVE_POISON(c.base, c.size);
-    }
-    active_ = 0;
-    used_bytes_ = 0;
 }
 
 } // namespace carve

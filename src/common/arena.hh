@@ -6,14 +6,11 @@
  * return memory mid-run.
  *
  * Arena — a bump allocator over a list of chunks. Allocations are
- * aligned, never individually freed, and survive until reset() or
- * destruction. reset() rewinds every chunk for reuse without
- * returning memory to the OS, so a component can be torn down and
- * rebuilt (kernel boundaries, repeated sweep runs) with zero
- * steady-state allocation. When built with -DCARVE_NUMA=ON and the
- * arena is given a host NUMA node, chunks are allocated on that node
- * via the hostnuma shim (dlopen'd libnuma); otherwise plain
- * operator new — behaviour is identical either way.
+ * aligned, never individually freed, and live until the arena is
+ * destroyed. When built with -DCARVE_NUMA=ON and the arena is given a
+ * host NUMA node, chunks are allocated on that node via the hostnuma
+ * shim (dlopen'd libnuma); otherwise plain operator new — behaviour
+ * is identical either way.
  *
  * Pool<T> — a typed chunked pool with stable 32-bit handles and a
  * LIFO in-slot free list. Growth adds chunks; existing elements
@@ -98,12 +95,7 @@ class Arena
         return static_cast<T *>(allocate(sizeof(T) * n, alignof(T)));
     }
 
-    /** Rewind every chunk for reuse; no memory returned to the OS.
-     * Everything previously allocated becomes invalid (and poisoned
-     * under ASan). */
-    void reset();
-
-    /** Bytes handed out since construction/reset (aligned sizes). */
+    /** Bytes handed out since construction (aligned sizes). */
     std::size_t usedBytes() const { return used_bytes_; }
 
     /** Bytes held in slabs (>= usedBytes()). */
@@ -124,8 +116,9 @@ class Arena
     Chunk makeChunk(std::size_t size);
     void releaseChunk(Chunk &c);
 
+    /** The last chunk is the one being bumped; dedicated oversized
+     * chunks are inserted in front of it. */
     std::vector<Chunk> chunks_;
-    std::size_t active_ = 0;  ///< chunk currently bumped
     std::size_t chunk_bytes_;
     std::size_t used_bytes_ = 0;
     std::size_t reserved_bytes_ = 0;

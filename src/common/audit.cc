@@ -74,10 +74,9 @@ InflightTracker::check(std::vector<std::string> &out) const
 }
 
 void
-checkCacheProbes(const stats::StatGroup &root,
+checkCacheProbes(const std::vector<stats::FlatStat> &flat,
                  std::vector<std::string> &out)
 {
-    const auto flat = stats::flattenStats(root);
     constexpr std::string_view suffix = ".probes";
     for (const auto &f : flat) {
         if (f.name.size() <= suffix.size() ||
@@ -100,12 +99,10 @@ checkCacheProbes(const stats::StatGroup &root,
 }
 
 void
-checkConservation(const stats::StatGroup &root,
+checkConservation(const std::vector<stats::FlatStat> &flat,
                   const ConservationParams &p,
                   std::vector<std::string> &out)
 {
-    const auto flat = stats::flattenStats(root);
-
     // ---- per-GPU classification and write-back conservation --------
     std::vector<std::string> gpu_prefixes;
     for (const auto &f : flat) {

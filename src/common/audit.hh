@@ -14,7 +14,8 @@
  *     dropped delivery — the failure class that otherwise shows up as
  *     a silently wrong traffic fraction.
  *
- *  2. Cross-stat invariant checks over the StatGroup tree: per-cache
+ *  2. Cross-stat invariant checks over the flattened StatGroup tree
+ *     (stats::flattenStats(), taken once per audit pass): per-cache
  *     probe conservation (hits + misses [+ stale_hits] == probes) and
  *     system-wide byte/message conservation (link bytes equal the
  *     classified traffic they carry; every remote access is serviced
@@ -122,10 +123,11 @@ class InflightTracker
 
 /**
  * Probe conservation: for every scalar named "<cache>.probes" in the
- * tree, hits + misses (+ stale_hits when registered) must equal it.
- * Appends one failure string per violation to @p out.
+ * flattened tree @p flat, hits + misses (+ stale_hits when
+ * registered) must equal it. Appends one failure string per
+ * violation to @p out.
  */
-void checkCacheProbes(const stats::StatGroup &root,
+void checkCacheProbes(const std::vector<stats::FlatStat> &flat,
                       std::vector<std::string> &out);
 
 /** Machine parameters the conservation equations need. */
@@ -141,7 +143,7 @@ struct ConservationParams
 };
 
 /**
- * System-wide conservation over the stat tree:
+ * System-wide conservation over the flattened stat tree @p flat:
  *  - per GPU: traffic.remote_reads == rdc.read_misses and
  *    traffic.rdc_hit_reads == rdc.read_hits (RDC classification);
  *  - per GPU: rdc.alloy.dirty_evictions == rdc.writeback_victims
@@ -157,7 +159,7 @@ struct ConservationParams
  *    home (fabric msgs == sum of gpu*.remote_serviced_*).
  * Appends one failure string per violation to @p out.
  */
-void checkConservation(const stats::StatGroup &root,
+void checkConservation(const std::vector<stats::FlatStat> &flat,
                        const ConservationParams &p,
                        std::vector<std::string> &out);
 

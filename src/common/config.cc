@@ -275,7 +275,6 @@ const KeyEntry key_table[] = {
 
     KEY_U64("core.sms_per_gpu", core.sms_per_gpu),
     KEY_U64("core.max_warps_per_sm", core.max_warps_per_sm),
-    KEY_U64("core.lsu_issue_per_cycle", core.lsu_issue_per_cycle),
     KEY_U64("core.l1_to_l2_latency", core.l1_to_l2_latency),
     KEY_U64("core.kernel_launch_latency",
             core.kernel_launch_latency),

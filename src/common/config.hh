@@ -159,7 +159,6 @@ struct CoreConfig
 {
     unsigned sms_per_gpu = 64;
     unsigned max_warps_per_sm = 64;
-    unsigned lsu_issue_per_cycle = 1;  ///< warp mem-insts issued/cycle
     Cycle l1_to_l2_latency = 30;       ///< on-chip crossbar hop
     Cycle kernel_launch_latency = 1000;///< fixed per-kernel launch cost
 };

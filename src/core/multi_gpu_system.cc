@@ -51,26 +51,7 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
 
     if (cfg_.rdc.enabled &&
         cfg_.rdc.coherence == RdcCoherence::HardwareVI) {
-        CoherenceOps ops;
-        // Invalidates fan out from the write's home domain: the home
-        // drops its own copies in place, every other node gets the
-        // invalidate one lookahead window later (covering the control
-        // packet's wire latency).
-        ops.invalidate_at = [this](NodeId node, Addr line) {
-            if (node == engine_ctx::currentShard()) {
-                gpus_[node]->invalidateLine(line);
-                return;
-            }
-            engine_.post(node, engine_.now() + engine_.lookahead(),
-                         bindEvent<&MultiGpuSystem::invalidateAt>(
-                             this, node, line));
-        };
-        ops.send_ctrl = [this](NodeId src, NodeId dst,
-                               unsigned bytes) {
-            fabric_coh_ctrl_bytes_.inc(bytes);
-            net_.send(src, dst, bytes, Network::Callback());
-        };
-        vi_.emplace(cfg_, cfg_.num_gpus, std::move(ops));
+        vi_.emplace(cfg_, cfg_.num_gpus, *this);
     }
 
     gpu_arenas_.reserve(cfg_.num_gpus);
@@ -91,23 +72,8 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
     gpus_.reserve(cfg_.num_gpus);
     for (unsigned g = 0; g < cfg_.num_gpus; ++g) {
         gpus_.push_back(std::make_unique<GpuNode>(
-            engine_.queue(g), cfg_, g, pages_, *this,
+            engine_.queue(g), cfg_, g, wl_, pages_, *this,
             &gpu_arenas_[g]));
-        gpus_.back()->setWorkload(&wl_);
-        gpus_.back()->setKernelDoneCallback([this](NodeId id) {
-            // Completion is observed in the GPU's domain; the system
-            // domain learns about it a window later.
-            engine_.post(engine_.systemDomain(),
-                         engine_.now() + engine_.lookahead(),
-                         bindEvent<&MultiGpuSystem::onGpuKernelDone>(
-                             this, id));
-        });
-    }
-
-    if (audit_) {
-        net_.setAudit(&*audit_);
-        for (auto &gpu : gpus_)
-            gpu->setAudit(&*audit_);
     }
 
     if (telem_.enabled) {
@@ -115,17 +81,19 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
         engine_.attachProfile(&engine_profile_);
     }
 
-    // The one instrumentation pass, before registerStats() so the
-    // telemetry histograms join the stat tree. Trace rows are defined
-    // in exported order: system, gpu0..N, interconnect.
+    // The one observer pass (trace, telemetry, audit), before
+    // registerStats() so the telemetry histograms join the stat tree.
+    // Trace rows are defined in exported order: system, gpu0..N,
+    // interconnect.
     if (trace_) {
         trace_->defineProcess(0, "system");
         trace_->defineThread(0, 0, "kernels");
         trace_->defineThread(0, 1, "log");
     }
+    audit::InflightTracker *const tracker = audit_ ? &*audit_ : nullptr;
     for (unsigned g = 0; g < numGpus(); ++g)
-        gpus_[g]->instrument(trace_, 1 + g, telem_.enabled);
-    net_.instrument(trace_, 1 + numGpus(), telem_.enabled);
+        gpus_[g]->instrument(trace_, 1 + g, telem_.enabled, tracker);
+    net_.instrument(trace_, 1 + numGpus(), telem_.enabled, tracker);
 
     registerStats();
 }
@@ -260,9 +228,7 @@ MultiGpuSystem::run(Cycle max_cycles, double max_wall_seconds)
         // Commit the window's NUMA policy decisions (single-threaded,
         // deterministic order), then make every sharded counter
         // coherent for barrier actions and the audit.
-        pages_.commitWindow(t, [this](NodeId src, NodeId dst) {
-            bulkTransfer(src, dst, pages_.table().pageSize());
-        });
+        pages_.commitWindow(t, this);
         foldShardedStats();
         // Counter sampling happens at barriers, never from scheduled
         // events, so a traced run executes the exact event sequence
@@ -545,9 +511,36 @@ MultiGpuSystem::coherenceLocalAccess(NodeId home, Addr line,
 }
 
 void
+MultiGpuSystem::sendCtrl(NodeId src, NodeId dst, unsigned bytes)
+{
+    fabric_coh_ctrl_bytes_.inc(bytes);
+    net_.send(src, dst, bytes, Network::Callback());
+}
+
+void
 MultiGpuSystem::invalidateAt(NodeId node, Addr line)
 {
-    gpus_[node]->invalidateLine(line);
+    // Invalidates fan out from the write's home domain: the home
+    // drops its own copies in place, every other node gets the
+    // invalidate one lookahead window later (covering the control
+    // packet's wire latency).
+    if (node == engine_ctx::currentShard()) {
+        gpus_[node]->invalidateLine(line);
+        return;
+    }
+    engine_.post(node, engine_.now() + engine_.lookahead(),
+                 bindEvent<&GpuNode::invalidateLine>(gpus_[node].get(),
+                                                     line));
+}
+
+void
+MultiGpuSystem::kernelDone(NodeId gpu)
+{
+    // Completion is observed in the GPU's domain; the system domain
+    // learns about it a window later.
+    engine_.post(engine_.systemDomain(),
+                 engine_.now() + engine_.lookahead(),
+                 bindEvent<&MultiGpuSystem::onGpuKernelDone>(this, gpu));
 }
 
 std::uint64_t
@@ -572,13 +565,15 @@ MultiGpuSystem::auditCheck(bool final_pass)
     }
 
     std::vector<std::string> fails;
-    audit::checkCacheProbes(stat_root_, fails);
+    const std::vector<stats::FlatStat> flat =
+        stats::flattenStats(stat_root_);
+    audit::checkCacheProbes(flat, fails);
 
     audit::ConservationParams params;
     params.line_size = cfg_.line_size;
     params.ctrl_packet_size = cfg_.link.ctrl_packet_size;
     params.final_pass = final_pass;
-    audit::checkConservation(stat_root_, params, fails);
+    audit::checkConservation(flat, params, fails);
 
     for (unsigned g = 0; g < numGpus(); ++g) {
         if (const RdcController *rdc = gpus_[g]->rdc())

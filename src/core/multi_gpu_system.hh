@@ -119,6 +119,9 @@ class MultiGpuSystem : public SystemFabric
                   std::uint64_t bytes) override;
     void coherenceLocalAccess(NodeId home, Addr line,
                               AccessType type) override;
+    void sendCtrl(NodeId src, NodeId dst, unsigned bytes) override;
+    void invalidateAt(NodeId node, Addr line) override;
+    void kernelDone(NodeId gpu) override;
 
     // ---- introspection ---------------------------------------------
     const SystemConfig &config() const { return cfg_; }
@@ -190,8 +193,6 @@ class MultiGpuSystem : public SystemFabric
     void cpuReadAtCpu(NodeId src, std::uint32_t op);
     void cpuReadData(NodeId src, std::uint32_t op);
     void deliverCpuReadData(NodeId src, std::uint32_t op);
-    /** Coherence invalidate arriving at @p node's domain. */
-    void invalidateAt(NodeId node, Addr line);
     /** Fold every sharded counter into its registered scalar; runs in
      * the on_barrier hook so barrier checks see totals. */
     void foldShardedStats();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "common/logging.hh"
 
@@ -10,9 +9,9 @@ namespace carve {
 
 RdcController::RdcController(EventQueue &eq, const SystemConfig &cfg,
                              NodeId self, MemoryController &local_mem,
-                             RdcRemoteOps ops, Arena *arena)
+                             SystemFabric &fabric, Arena *arena)
     : eq_(eq), cfg_(cfg), self_(self), local_mem_(local_mem),
-      ops_(std::move(ops)),
+      fabric_(fabric),
       alloy_(cfg.rdc.size, cfg.line_size),
       epoch_(cfg.rdc.epoch_bits),
       mshrs_(cfg.rdc.mshr_entries, arena, &eq),
@@ -20,8 +19,6 @@ RdcController::RdcController(EventQueue &eq, const SystemConfig &cfg,
       carve_base_(cfg.dram.capacity - cfg.rdc.size)
 {
     carve_assert(cfg.rdc.enabled);
-    carve_assert(ops_.fetch_remote && ops_.write_remote &&
-                 ops_.flush_remote);
 }
 
 Addr
@@ -131,9 +128,9 @@ RdcController::handleMiss(NodeId home, Addr line_addr, bool serialized,
 
     if (audit_)
         audit_->issue(audit::Boundary::RdcFetch);
-    ops_.fetch_remote(home, line_addr,
-                      Completion::bind<&RdcController::fetchArrived>(
-                          this, line_addr, home));
+    fabric_.remoteRead(self_, home, line_addr,
+                       Completion::bind<&RdcController::fetchArrived>(
+                           this, line_addr, home));
 }
 
 void
@@ -174,7 +171,7 @@ RdcController::handleVictim(const std::optional<RdcVictim> &victim)
     // line; its home must absorb it before the data is lost.
     ++writeback_victims_;
     dirty_map_.clearDirty(alloy_.setStorageOffset(victim->tag));
-    ops_.write_remote(victim->home, victim->tag);
+    fabric_.remoteWrite(self_, victim->home, victim->tag);
 }
 
 void
@@ -191,7 +188,7 @@ RdcController::write(NodeId home, Addr line_addr)
                               AccessType::Write, Callback());
         }
         ++write_throughs_;
-        ops_.write_remote(home, line_addr);
+        fabric_.remoteWrite(self_, home, line_addr);
         return;
     }
 
@@ -223,7 +220,7 @@ RdcController::kernelBoundarySwc()
                  dirty_map_.flushTargets()) {
             flush_bytes_ += flush_bytes;
             flush_regions_ += flush_bytes / dirty_map_.regionSize();
-            ops_.flush_remote(flush_home, flush_bytes);
+            fabric_.rdcFlush(self_, flush_home, flush_bytes);
         }
         dirty_map_.clear();
         alloy_.cleanAll();

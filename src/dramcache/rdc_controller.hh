@@ -13,7 +13,6 @@
 #ifndef CARVE_DRAMCACHE_RDC_CONTROLLER_HH
 #define CARVE_DRAMCACHE_RDC_CONTROLLER_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -29,27 +28,10 @@
 #include "dramcache/dirty_map.hh"
 #include "dramcache/epoch.hh"
 #include "dramcache/hit_predictor.hh"
+#include "gpu/fabric.hh"
 #include "mem/memory_controller.hh"
 
 namespace carve {
-
-/**
- * Callbacks into the rest of the system, wired by MultiGpuSystem.
- * Keeping them as std::function decouples the dramcache module from
- * the GPU/network modules and makes the controller unit-testable.
- */
-struct RdcRemoteOps
-{
-    /** Fetch @p line from @p home; callback fires when the data has
-     * arrived at this GPU. */
-    std::function<void(NodeId home, Addr line, Completion done)>
-        fetch_remote;
-    /** Posted write-through of @p line to @p home. */
-    std::function<void(NodeId home, Addr line)> write_remote;
-    /** Posted bulk flush of @p bytes of dirty data to @p home
-     * (kernel-boundary write-back drain). */
-    std::function<void(NodeId home, std::uint64_t bytes)> flush_remote;
-};
 
 /**
  * Per-GPU CARVE controller: Alloy RDC + EPCTR + optional dirty map and
@@ -68,11 +50,12 @@ class RdcController
      * @param cfg full system configuration
      * @param self this GPU's node id
      * @param local_mem this GPU's memory controller
-     * @param ops remote fetch / write-through plumbing
+     * @param fabric remote fetches, write-throughs and boundary
+     *        flushes, all sent on behalf of @p self
      * @param arena backing store for the miss pools (optional)
      */
     RdcController(EventQueue &eq, const SystemConfig &cfg, NodeId self,
-                  MemoryController &local_mem, RdcRemoteOps ops,
+                  MemoryController &local_mem, SystemFabric &fabric,
                   Arena *arena = nullptr);
 
     /**
@@ -120,18 +103,17 @@ class RdcController
     const MshrFile &mshrs() const { return mshrs_; }
     MshrFile &mshrs() { return mshrs_; }
 
-    /** Attach the in-flight token tracker (audit mode only). */
-    void setAudit(audit::InflightTracker *tracker) { audit_ = tracker; }
-
     /** Wire this controller's probes: miss lifetimes become spans on
      * trace row @p track of @p session (null == untraced), boundary
      * flushes and epoch rollovers instant markers; with @p telemetry,
-     * the MSHR park-duration / miss-lifetime histograms. Call before
-     * registerStats() so the histograms join the stat tree. */
+     * the MSHR park-duration / miss-lifetime histograms; remote
+     * fetches carry tokens of @p audit (null unless audited). Call
+     * before registerStats() so the histograms join the stat tree. */
     void
     instrument(trace::Session *session, std::uint32_t track,
-               bool telemetry)
+               bool telemetry, audit::InflightTracker *audit)
     {
+        audit_ = audit;
         mshrs_.instrument(
             trace::Probe(session, trace::Category::Rdc, track, "rdc miss",
                          trace::histogramIf(telemetry, miss_life_)),
@@ -192,7 +174,7 @@ class RdcController
     const SystemConfig &cfg_;
     NodeId self_;
     MemoryController &local_mem_;
-    RdcRemoteOps ops_;
+    SystemFabric &fabric_;
 
     AlloyCache alloy_;
     EpochCounter epoch_;

@@ -1,8 +1,21 @@
 /**
  * @file
- * SystemFabric: everything a GPU node needs from the outside world
- * (remote memories, the CPU, coherence). Implemented by
- * MultiGpuSystem; mocked in unit tests.
+ * SystemFabric: everything the GPU side needs from the rest of the
+ * machine, and the one seam it reaches the machine through. GpuNode,
+ * its RdcController, the GpuVi coherence engine and the PageManager's
+ * window commit all take it at construction (or, for the commit, as
+ * an argument):
+ *  - remoteRead / remoteWrite / rdcFlush: traffic to another GPU's
+ *    memory (LLC and RDC misses, write-throughs, dirty victims, the
+ *    write-back RDC's boundary drain);
+ *  - cpuRead / cpuWrite: Unified Memory traffic to CPU memory;
+ *  - bulkTransfer: page copies of migration, replication and UM;
+ *  - coherenceLocalAccess: a GPU's own access reached its memory;
+ *  - sendCtrl / invalidateAt: GPU-VI's invalidate fan-out (the
+ *    control packet and the drop of every cached copy);
+ *  - kernelDone: a GPU retired its last CTA of the kernel.
+ * Implemented by MultiGpuSystem; tests substitute one recording fake
+ * (tests/sim_test_util.hh).
  */
 
 #ifndef CARVE_GPU_FABRIC_HH
@@ -74,6 +87,18 @@ class SystemFabric
      */
     virtual void coherenceLocalAccess(NodeId home, Addr line,
                                       AccessType type) = 0;
+
+    /** Posted coherence control packet of @p bytes from GPU @p src to
+     * GPU @p dst (a GPU-VI write-invalidate). */
+    virtual void sendCtrl(NodeId src, NodeId dst, unsigned bytes) = 0;
+
+    /** Drop every cached copy of @p line at GPU @p node (L1s, LLC,
+     * RDC): at once when @p node is the calling domain, otherwise
+     * when the invalidate arrives there. */
+    virtual void invalidateAt(NodeId node, Addr line) = 0;
+
+    /** GPU @p gpu retired its last CTA of the current kernel. */
+    virtual void kernelDone(NodeId gpu) = 0;
 };
 
 } // namespace carve

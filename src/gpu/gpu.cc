@@ -1,7 +1,5 @@
 #include "gpu/gpu.hh"
 
-#include <utility>
-
 #include "common/logging.hh"
 
 namespace carve {
@@ -19,9 +17,10 @@ GpuTraffic::fracRemote() const
 }
 
 GpuNode::GpuNode(EventQueue &eq, const SystemConfig &cfg, NodeId id,
-                 PageManager &pages, SystemFabric &fabric,
-                 Arena *arena)
-    : eq_(eq), cfg_(cfg), id_(id), pages_(pages), fabric_(fabric),
+                 const Workload &wl, PageManager &pages,
+                 SystemFabric &fabric, Arena *arena)
+    : eq_(eq), cfg_(cfg), id_(id), wl_(wl), pages_(pages),
+      fabric_(fabric),
       l2_("l2", cfg.l2, cfg.line_size),
       l2_mshrs_(cfg.l2.mshrs, arena, &eq),
       parked_misses_(arena),
@@ -29,64 +28,30 @@ GpuNode::GpuNode(EventQueue &eq, const SystemConfig &cfg, NodeId id,
       mem_(eq, cfg, arena)
 {
     if (cfg.rdc.enabled) {
-        RdcRemoteOps ops;
-        ops.fetch_remote = [this](NodeId home, Addr line,
-                                  Completion done) {
-            fabric_.remoteRead(id_, home, line, done);
-        };
-        ops.write_remote = [this](NodeId home, Addr line) {
-            fabric_.remoteWrite(id_, home, line);
-        };
-        ops.flush_remote = [this](NodeId home, std::uint64_t bytes) {
-            fabric_.rdcFlush(id_, home, bytes);
-        };
         rdc_ = std::make_unique<RdcController>(eq, cfg, id, mem_,
-                                               std::move(ops), arena);
+                                               fabric, arena);
     }
 
-    Sm::Hooks hooks;
-    hooks.access_l2 = [this](Addr line, AccessType type,
-                             Callback done) {
-        accessFromSm(line, type, done);
-    };
-    hooks.record_access = [this](Addr line, AccessType type) {
-        pages_.recordAccess(line, id_, type, eq_.now());
-    };
-    hooks.translate = [this](SmId sm, Addr addr) {
-        return tlb_.translate(sm, addr).latency;
-    };
-    hooks.cta_retired = [this](SmId sm, CtaId cta) {
-        onCtaRetired(sm, cta);
-    };
-
+    Sm::Port &port = *this;
     sms_.reserve(cfg.core.sms_per_gpu);
     for (unsigned s = 0; s < cfg.core.sms_per_gpu; ++s) {
         const std::uint64_t jitter =
             (static_cast<std::uint64_t>(id) << 32) | s;
-        sms_.push_back(std::make_unique<Sm>(eq, cfg, s, hooks,
+        sms_.push_back(std::make_unique<Sm>(eq, cfg, s, wl, port,
                                             jitter, arena));
     }
 }
 
 void
-GpuNode::setWorkload(const Workload *wl)
-{
-    wl_ = wl;
-    for (auto &sm : sms_)
-        sm->setWorkload(wl);
-}
-
-void
 GpuNode::startKernel(KernelId k, CtaScheduler &sched)
 {
-    carve_assert(wl_ != nullptr);
     cur_kernel_ = k;
     sched_ = &sched;
 
     // Greedily fill every SM's CTA slots from this GPU's batch.
     bool any = false;
     for (auto &sm : sms_) {
-        while (sm->freeWarpSlots() >= wl_->warpsPerCta()) {
+        while (sm->freeWarpSlots() >= wl_.warpsPerCta()) {
             const auto cta = sched.nextCta(id_);
             if (!cta)
                 break;
@@ -114,7 +79,7 @@ GpuNode::onCtaRetired(SmId sm, CtaId)
     sched_->retireCta(id_);
 
     // Backfill the SM that freed capacity.
-    while (sms_[sm]->freeWarpSlots() >= wl_->warpsPerCta()) {
+    while (sms_[sm]->freeWarpSlots() >= wl_.warpsPerCta()) {
         const auto cta = sched_->nextCta(id_);
         if (!cta)
             break;
@@ -129,8 +94,8 @@ void
 GpuNode::maybeFinishKernel()
 {
     if (live_ctas_ == 0 && sched_ != nullptr &&
-        sched_->remaining(id_) == 0 && kernel_done_cb_) {
-        kernel_done_cb_(id_);
+        sched_->remaining(id_) == 0) {
+        fabric_.kernelDone(id_);
     }
 }
 
@@ -187,15 +152,6 @@ GpuNode::serviceRemoteWrite(Addr line)
 }
 
 void
-GpuNode::setAudit(audit::InflightTracker *tracker)
-{
-    audit_ = tracker;
-    mem_.setAudit(tracker);
-    if (rdc_)
-        rdc_->setAudit(tracker);
-}
-
-void
 GpuNode::invalidateLine(Addr line)
 {
     ++hw_invalidations_in_;
@@ -227,6 +183,18 @@ GpuNode::accessFromSm(Addr line, AccessType type, Callback done)
     eq_.scheduleAfter(cfg_.core.l1_to_l2_latency,
                       bindEvent<&GpuNode::arriveAtL2Parked>(this,
                                                            parked));
+}
+
+void
+GpuNode::recordAccess(Addr line, AccessType type)
+{
+    pages_.recordAccess(line, id_, type, eq_.now());
+}
+
+Cycle
+GpuNode::translate(SmId sm, Addr addr)
+{
+    return tlb_.translate(sm, addr).latency;
 }
 
 void
@@ -382,8 +350,9 @@ GpuNode::deliverWrite(Addr line, NodeId service)
 
 void
 GpuNode::instrument(trace::Session *session, std::uint32_t pid,
-                    bool telemetry)
+                    bool telemetry, audit::InflightTracker *audit)
 {
+    audit_ = audit;
     // Defines a trace row (when traced) and returns its track.
     const auto row = [&](std::uint32_t tid, const std::string &name) {
         if (session)
@@ -405,13 +374,13 @@ GpuNode::instrument(trace::Session *session, std::uint32_t pid,
                      trace::histogramIf(telemetry, l2_miss_life_)),
         trace::Probe(trace::histogramIf(telemetry, l2_park_dur_)));
     if (rdc_)
-        rdc_->instrument(session, row(110, "rdc"), telemetry);
+        rdc_->instrument(session, row(110, "rdc"), telemetry, audit);
     const std::uint32_t coherence = row(120, "coherence");
     boundary_inval_ = trace::Probe(session, trace::Category::Coherence,
                                    coherence, "boundary_invalidate");
     hw_inval_ = trace::Probe(session, trace::Category::Coherence,
                              coherence, "hw_invalidate");
-    mem_.instrument(session, pid);
+    mem_.instrument(session, pid, audit);
 
     if (!session)
         return;

@@ -70,10 +70,12 @@ struct GpuTraffic
 };
 
 /**
- * GPU node. Construction wires every SM's hooks; the system wires the
- * fabric and drives kernels through startKernel()/kernelBoundary().
+ * GPU node. Construction wires every SM to this node (its Sm::Port)
+ * and the RDC to the fabric; the system drives kernels through
+ * startKernel()/kernelBoundary() and hears of their end through
+ * SystemFabric::kernelDone().
  */
-class GpuNode
+class GpuNode : private Sm::Port
 {
   public:
     /** POD completion delegate (no allocation per hand-off). */
@@ -83,27 +85,19 @@ class GpuNode
      * @param eq shared event queue
      * @param cfg system configuration
      * @param id this node's id
+     * @param wl trace source (must outlive the node)
      * @param pages shared NUMA runtime
-     * @param fabric off-chip services (remote memories, coherence)
+     * @param fabric off-chip services (remote memories, coherence,
+     *        kernel completion)
      * @param arena backing store for this node's request pools; when
      *        null the pools fall back to the global heap
      */
     GpuNode(EventQueue &eq, const SystemConfig &cfg, NodeId id,
-            PageManager &pages, SystemFabric &fabric,
-            Arena *arena = nullptr);
+            const Workload &wl, PageManager &pages,
+            SystemFabric &fabric, Arena *arena = nullptr);
 
     GpuNode(const GpuNode &) = delete;
     GpuNode &operator=(const GpuNode &) = delete;
-
-    /** Select the trace source for subsequent kernels. */
-    void setWorkload(const Workload *wl);
-
-    /** Invoked when this GPU retires its last CTA of the kernel. */
-    void
-    setKernelDoneCallback(std::function<void(NodeId)> cb)
-    {
-        kernel_done_cb_ = std::move(cb);
-    }
 
     /**
      * Begin executing this GPU's batch of kernel @p k's CTAs, pulled
@@ -151,10 +145,6 @@ class GpuNode
     /** Total warp instructions issued across this GPU's SMs. */
     std::uint64_t instsIssued() const;
 
-    /** Attach the in-flight token tracker (audit mode only);
-     * forwarded to the memory controller and RDC. */
-    void setAudit(audit::InflightTracker *tracker);
-
     /** Register this node's whole subtree (traffic, l2 + mshrs, tlb,
      * mem, rdc when present, one group per SM) into @p g, the
      * system-owned "gpu<i>" group. */
@@ -166,11 +156,13 @@ class GpuNode
      * coherence rows, the DRAM channel rows and this GPU's counter
      * tracks (MSHR + DRAM queue occupancy, RDC hit rate); with
      * @p telemetry, the MSHR latency histograms (L1 park durations
-     * pooled across SMs, L2 park/lifetime, RDC when present). Call
-     * before registerStats() so the histograms join the stat tree.
+     * pooled across SMs, L2 park/lifetime, RDC when present); and the
+     * in-flight token tracker @p audit (null unless audited) here and
+     * in the memory controller, RDC and their hand-offs. Call before
+     * registerStats() so the histograms join the stat tree.
      */
     void instrument(trace::Session *session, std::uint32_t pid,
-                    bool telemetry);
+                    bool telemetry, audit::InflightTracker *audit);
 
   private:
     /** A read in flight to the L2, or parked on the full L2 MSHR
@@ -181,7 +173,13 @@ class GpuNode
         Completion done;
     };
 
-    void accessFromSm(Addr line, AccessType type, Callback done);
+    // ---- Sm::Port ---------------------------------------------------
+    void accessFromSm(Addr line, AccessType type,
+                      Callback done) override;
+    void recordAccess(Addr line, AccessType type) override;
+    Cycle translate(SmId sm, Addr addr) override;
+    void onCtaRetired(SmId sm, CtaId cta) override;
+
     /** L2 arrival of a read, scheduled as a pre-bound event. */
     void arriveAtL2(Addr line, Callback done);
     /** Unparks an (addr, completion) record staged by accessFromSm. */
@@ -197,12 +195,12 @@ class GpuNode
     void handleWrite(Addr line);
     /** Deliver a post-LLC write at the routed @p service node. */
     void deliverWrite(Addr line, NodeId service);
-    void onCtaRetired(SmId sm, CtaId cta);
     void maybeFinishKernel();
 
     EventQueue &eq_;
     const SystemConfig &cfg_;
     NodeId id_;
+    const Workload &wl_;
     PageManager &pages_;
     SystemFabric &fabric_;
 
@@ -214,11 +212,9 @@ class GpuNode
     MemoryController mem_;
     std::unique_ptr<RdcController> rdc_;
 
-    const Workload *wl_ = nullptr;
     CtaScheduler *sched_ = nullptr;
     KernelId cur_kernel_ = 0;
     std::uint64_t live_ctas_ = 0;
-    std::function<void(NodeId)> kernel_done_cb_;
 
     audit::InflightTracker *audit_ = nullptr;
     trace::Probe boundary_inval_;  ///< kernel-boundary L1/LLC invalidation

@@ -1,34 +1,32 @@
 #include "gpu/sm.hh"
 
-#include <utility>
+#include <algorithm>
 
 #include "common/logging.hh"
 
 namespace carve {
 
-Sm::Sm(EventQueue &eq, const SystemConfig &cfg, SmId id, Hooks hooks,
-       std::uint64_t jitter_seed, Arena *arena)
-    : eq_(eq), cfg_(cfg), id_(id), hooks_(std::move(hooks)),
+Sm::Sm(EventQueue &eq, const SystemConfig &cfg, SmId id,
+       const Workload &wl, Port &port, std::uint64_t jitter_seed,
+       Arena *arena)
+    : eq_(eq), cfg_(cfg), id_(id), wl_(wl), port_(port),
       jitter_seed_(jitter_seed),
       l1_("l1", cfg.l1, cfg.line_size),
       l1_mshrs_(cfg.l1.mshrs, arena, &eq),
       parked_reads_(arena),
       warps_(cfg.core.max_warps_per_sm)
 {
-    carve_assert(hooks_.access_l2 && hooks_.record_access &&
-                 hooks_.translate && hooks_.cta_retired);
 }
 
 bool
 Sm::tryStartCta(KernelId k, CtaId cta)
 {
-    carve_assert(wl_ != nullptr);
-    const unsigned wpc = wl_->warpsPerCta();
+    const unsigned wpc = wl_.warpsPerCta();
     carve_assert(wpc > 0 && wpc <= warps_.size());
     if (freeWarpSlots() < wpc)
         return false;
 
-    const std::uint64_t insts = wl_->instsPerWarp(k);
+    const std::uint64_t insts = wl_.instsPerWarp(k);
     cta_live_warps_[cta] = wpc;
     unsigned placed = 0;
     for (unsigned slot = 0; slot < warps_.size() && placed < wpc;
@@ -83,7 +81,7 @@ void
 Sm::execute(unsigned slot)
 {
     WarpContext &w = warps_[slot];
-    wl_->instruction(w.kernel, w.cta, w.warp_in_cta, w.next_inst,
+    wl_.instruction(w.kernel, w.cta, w.warp_in_cta, w.next_inst,
                      w.cur);
     ++w.next_inst;
     ++insts_issued_;
@@ -92,9 +90,9 @@ Sm::execute(unsigned slot)
     lines_ += w.cur.num_lines;
 
     for (unsigned i = 0; i < w.cur.num_lines; ++i)
-        hooks_.record_access(w.cur.lines[i], w.cur.type);
+        port_.recordAccess(w.cur.lines[i], w.cur.type);
 
-    const Cycle tlb_lat = hooks_.translate(id_, w.cur.lines[0]);
+    const Cycle tlb_lat = port_.translate(id_, w.cur.lines[0]);
 
     if (isWrite(w.cur.type)) {
         ++write_insts_;
@@ -120,8 +118,8 @@ Sm::issueStores(unsigned slot)
     WarpContext &w = warps_[slot];
     for (unsigned i = 0; i < w.cur.num_lines; ++i) {
         l1_.writeProbe(w.cur.lines[i], false);
-        hooks_.access_l2(w.cur.lines[i], AccessType::Write,
-                         Callback());
+        port_.accessFromSm(w.cur.lines[i], AccessType::Write,
+                           Callback());
     }
 }
 
@@ -185,8 +183,9 @@ Sm::tryAllocateMiss(unsigned slot, Addr line)
         line, Completion::bind<&Sm::lineDone>(this, slot));
     switch (out) {
       case MshrOutcome::NewEntry:
-        hooks_.access_l2(line, AccessType::Read,
-                         Completion::bind<&Sm::finishL1Fill>(this, line));
+        port_.accessFromSm(line, AccessType::Read,
+                           Completion::bind<&Sm::finishL1Fill>(this,
+                                                               line));
         return true;
       case MshrOutcome::Merged:
         return true;
@@ -229,7 +228,7 @@ Sm::finishWarp(unsigned slot)
     if (--it->second == 0) {
         const CtaId cta = w.cta;
         cta_live_warps_.erase(it);
-        hooks_.cta_retired(id_, cta);
+        port_.onCtaRetired(id_, cta);
     }
 }
 

@@ -9,7 +9,6 @@
 #ifndef CARVE_GPU_SM_HH
 #define CARVE_GPU_SM_HH
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -27,47 +26,49 @@
 namespace carve {
 
 /**
- * One SM. All interaction with the rest of the GPU flows through the
- * callback bundle, keeping the SM unit-testable in isolation.
+ * One SM. All interaction with the rest of the GPU flows through its
+ * Port, keeping the SM unit-testable in isolation.
  */
 class Sm
 {
   public:
-    /** POD completion delegate: passing one across the hook boundary
-     * never allocates (unlike a captured std::function). */
+    /** POD completion delegate: passing one across the port never
+     * allocates. */
     using Callback = Completion;
 
-    /** Hooks into the owning GPU node. */
-    struct Hooks
+    /** The SM's owner (GpuNode; a fake in unit tests). */
+    class Port
     {
+      public:
+        virtual ~Port() = default;
+
         /** Forward an L1 miss / write-through to the L2 path.
          * @p done fires when read data returns (empty for writes). */
-        std::function<void(Addr line, AccessType type, Callback done)>
-            access_l2;
+        virtual void accessFromSm(Addr line, AccessType type,
+                                  Callback done) = 0;
         /** Pre-L1 profiling + first-touch (page manager). */
-        std::function<void(Addr line, AccessType type)> record_access;
-        /** Translate @p addr for this SM; returns added latency. */
-        std::function<Cycle(SmId sm, Addr addr)> translate;
-        /** A CTA fully retired on this SM. */
-        std::function<void(SmId sm, CtaId cta)> cta_retired;
+        virtual void recordAccess(Addr line, AccessType type) = 0;
+        /** Translate @p addr for SM @p sm; returns added latency. */
+        virtual Cycle translate(SmId sm, Addr addr) = 0;
+        /** A CTA fully retired on SM @p sm. */
+        virtual void onCtaRetired(SmId sm, CtaId cta) = 0;
     };
 
     /**
      * @param eq shared event queue
      * @param cfg system configuration
      * @param id SM index within the GPU
-     * @param hooks GPU-node plumbing
+     * @param wl trace source (must outlive the SM)
+     * @param port the owning GPU node
      * @param jitter_seed deterministic first-issue skew seed
      * @param arena backing store for the MSHR waiter pool (optional)
      */
-    Sm(EventQueue &eq, const SystemConfig &cfg, SmId id, Hooks hooks,
-       std::uint64_t jitter_seed = 0, Arena *arena = nullptr);
+    Sm(EventQueue &eq, const SystemConfig &cfg, SmId id,
+       const Workload &wl, Port &port, std::uint64_t jitter_seed = 0,
+       Arena *arena = nullptr);
 
     Sm(const Sm &) = delete;
     Sm &operator=(const Sm &) = delete;
-
-    /** Select the trace source (must precede tryStartCta). */
-    void setWorkload(const Workload *wl) { wl_ = wl; }
 
     /**
      * Try to occupy warp slots with CTA @p cta of kernel @p k.
@@ -152,9 +153,9 @@ class Sm
     EventQueue &eq_;
     const SystemConfig &cfg_;
     SmId id_;
-    Hooks hooks_;
+    const Workload &wl_;
+    Port &port_;
     std::uint64_t jitter_seed_;
-    const Workload *wl_ = nullptr;
 
     Cache l1_;
     MshrFile l1_mshrs_;

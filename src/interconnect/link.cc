@@ -19,8 +19,9 @@ Link::Link(DomainEngine &engine, unsigned dst_domain,
 
 void
 Link::instrument(trace::Session *session, std::uint32_t track,
-                 bool telemetry)
+                 bool telemetry, audit::InflightTracker *audit)
 {
+    audit_ = audit;
     queue_ = trace::Probe(trace::histogramIf(telemetry, queue_delay_hist_));
     wire_ = trace::Probe(session, trace::Category::Link, track, "pkt");
     if (!session)

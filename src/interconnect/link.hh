@@ -76,17 +76,15 @@ class Link
     const std::string &name() const { return name_; }
     double bandwidth() const { return bytes_per_cycle_; }
 
-    /** Attach the in-flight token tracker (audit mode only): every
-     * accepted packet carries a token until delivery. */
-    void setAudit(audit::InflightTracker *tracker) { audit_ = tracker; }
-
     /** Wire this link's probes: the queueing-delay distribution (not
      * just the mean) when @p telemetry is set, and a wire-occupancy
      * span per packet on trace row @p track of @p session (null ==
      * untraced), which a traced link defines along with a windowed
-     * utilization counter. Call before registerStats(). */
+     * utilization counter. With @p audit (null unless audited) every
+     * accepted packet carries a token until delivery. Call before
+     * registerStats(). */
     void instrument(trace::Session *session, std::uint32_t track,
-                    bool telemetry);
+                    bool telemetry, audit::InflightTracker *audit);
 
     /** Register this link's counters into @p g. */
     void

@@ -132,13 +132,14 @@ Network::registerStats(stats::StatGroup &g)
 
 void
 Network::instrument(trace::Session *session, std::uint32_t pid,
-                    bool telemetry)
+                    bool telemetry, audit::InflightTracker *audit)
 {
     if (session)
         session->defineProcess(pid, "interconnect");
     std::uint32_t tid = 0;
     forEachLink([&](Link &l) {
-        l.instrument(session, trace::makeTrack(pid, tid++), telemetry);
+        l.instrument(session, trace::makeTrack(pid, tid++), telemetry,
+                     audit);
     });
 }
 

@@ -67,18 +67,12 @@ class Network
      * ("0.3", "0.cpu", "cpu.0"); nested groups are owned here. */
     void registerStats(stats::StatGroup &g);
 
-    /** Attach the in-flight token tracker to every link. */
-    void
-    setAudit(audit::InflightTracker *tracker)
-    {
-        forEachLink([tracker](Link &l) { l.setAudit(tracker); });
-    }
-
-    /** Wire every link's probes (see Link::instrument()); a traced
-     * network is process @p pid ("interconnect") with one row and one
-     * utilization counter per link. Call before registerStats(). */
+    /** Wire every link's probes and audit tracker (see
+     * Link::instrument()); a traced network is process @p pid
+     * ("interconnect") with one row and one utilization counter per
+     * link. Call before registerStats(). */
     void instrument(trace::Session *session, std::uint32_t pid,
-                    bool telemetry);
+                    bool telemetry, audit::InflightTracker *audit);
 
   private:
     std::size_t index(NodeId src, NodeId dst) const;

@@ -9,12 +9,13 @@
 namespace carve {
 
 DramChannel::DramChannel(EventQueue &eq, const DramConfig &cfg,
-                         std::uint64_t line_size)
+                         std::uint64_t line_size, Completion retry)
     : eq_(eq), cfg_(cfg), line_size_(line_size),
       burst_cycles_(static_cast<Cycle>(std::ceil(
           static_cast<double>(line_size) / cfg.channel_bw))),
-      banks_(cfg.banks_per_channel)
+      banks_(cfg.banks_per_channel), retry_(retry)
 {
+    carve_assert(retry_);
     if (burst_cycles_ == 0)
         burst_cycles_ = 1;
 }
@@ -101,8 +102,7 @@ DramChannel::issueTick()
 
     if (reject_seen_) {
         reject_seen_ = false;
-        if (retry_cb_)
-            retry_cb_();
+        retry_();
     }
     trySchedule();
 }

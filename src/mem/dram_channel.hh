@@ -9,7 +9,6 @@
 #define CARVE_MEM_DRAM_CHANNEL_HH
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/completion.hh"
@@ -50,26 +49,18 @@ class DramChannel
      * @param eq shared event queue
      * @param cfg DRAM parameters (latencies, queue depths, bandwidth)
      * @param line_size burst size in bytes
+     * @param retry fired whenever queue space frees up after a
+     *        rejected enqueue
      */
     DramChannel(EventQueue &eq, const DramConfig &cfg,
-                std::uint64_t line_size);
+                std::uint64_t line_size, Completion retry);
 
     /**
      * Try to enqueue a request.
      * @return false when the corresponding queue is full; the caller
-     *         must retry after retry-notification (see setRetryCallback).
+     *         must retry once the channel fires its retry completion.
      */
     bool enqueue(DramRequest req);
-
-    /**
-     * Register a callback invoked whenever queue space frees up after
-     * a rejected enqueue.
-     */
-    void
-    setRetryCallback(std::function<void()> cb)
-    {
-        retry_cb_ = std::move(cb);
-    }
 
     /** Outstanding reads (queued, not yet issued). */
     std::size_t readQueueSize() const { return read_q_.size(); }
@@ -132,7 +123,7 @@ class DramChannel
     bool issue_pending_ = false;
     Cycle bus_free_at_ = 0;
     bool reject_seen_ = false;
-    std::function<void()> retry_cb_;
+    Completion retry_;
     trace::Probe read_burst_;
     trace::Probe write_burst_;
 

@@ -18,10 +18,9 @@ MemoryController::MemoryController(EventQueue &eq,
 {
     channels_.reserve(cfg.dram.channels);
     for (unsigned i = 0; i < cfg.dram.channels; ++i) {
-        channels_.push_back(
-            std::make_unique<DramChannel>(eq, cfg.dram, cfg.line_size));
-        channels_.back()->setRetryCallback(
-            [this, i] { drainStaged(i); });
+        channels_.push_back(std::make_unique<DramChannel>(
+            eq, cfg.dram, cfg.line_size,
+            Completion::bind<&MemoryController::drainStaged>(this, i)));
     }
 }
 

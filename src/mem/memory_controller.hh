@@ -8,7 +8,6 @@
 #define CARVE_MEM_MEMORY_CONTROLLER_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -85,16 +84,16 @@ class MemoryController
      * channel into @p g (child groups are owned here). */
     void registerStats(stats::StatGroup &g);
 
-    /** Attach the in-flight token tracker (audit mode only): every
-     * accepted access carries a token until its channel issues it. */
-    void setAudit(audit::InflightTracker *tracker) { audit_ = tracker; }
-
     /** Wire every channel's probes under trace process @p pid (null
      * @p session == untraced): one "dram.ch<i>" row per channel (tids
-     * 200+i, matching the exporter's row layout). */
+     * 200+i, matching the exporter's row layout). With @p audit (null
+     * unless audited) every accepted access carries a token until its
+     * channel issues it. */
     void
-    instrument(trace::Session *session, std::uint32_t pid)
+    instrument(trace::Session *session, std::uint32_t pid,
+               audit::InflightTracker *audit)
     {
+        audit_ = audit;
         for (unsigned c = 0; c < numChannels(); ++c) {
             if (session)
                 session->defineThread(pid, 200 + c,

@@ -4,6 +4,7 @@
 
 #include "common/domain_engine.hh"
 #include "common/logging.hh"
+#include "gpu/fabric.hh"
 
 namespace carve {
 
@@ -95,7 +96,7 @@ PageManager::route(Addr addr, NodeId node, AccessType type, Cycle now)
 }
 
 void
-PageManager::commitWindow(Cycle now, const BulkChargeFn &charge)
+PageManager::commitWindow(Cycle now, SystemFabric *fabric)
 {
     // (1) Commit first touches in deterministic global order. Two
     // domains can race to first-touch the same page inside one
@@ -148,6 +149,7 @@ PageManager::commitWindow(Cycle now, const BulkChargeFn &charge)
     // (3) Replay the route logs domain-major through the policy
     // engines. Each domain's log is in that domain's event order, so
     // the replay sequence is identical for serial and parallel runs.
+    const std::uint64_t page_bytes = table_.pageSize();
     for (DomainShard &s : shards_) {
         for (const RouteOp &op : s.route_log) {
             PageEntry &page = table_.entry(op.vpage);
@@ -167,8 +169,8 @@ PageManager::commitWindow(Cycle now, const BulkChargeFn &charge)
             // CPU-resident (spilled) page: Unified Memory services it
             // over the CPU link until it proves hot enough to pull in.
             if (page.home == cpu_node) {
-                if (um_.onAccess(page, op.node) && charge)
-                    charge(cpu_node, op.node);
+                if (um_.onAccess(page, op.node) && fabric)
+                    fabric->bulkTransfer(cpu_node, op.node, page_bytes);
                 continue;
             }
 
@@ -185,16 +187,16 @@ PageManager::commitWindow(Cycle now, const BulkChargeFn &charge)
             const NodeId old_home = page.home;
             if (!op.write &&
                 replication_.maybeReplicate(page, op.node)) {
-                if (charge)
-                    charge(old_home, op.node);
+                if (fabric)
+                    fabric->bulkTransfer(old_home, op.node, page_bytes);
                 continue;
             }
 
             if (migration_.maybeMigrate(page, op.node)) {
                 page.ready_at = now + cfg_.numa.migration_stall;
                 page.prev_home = old_home;
-                if (charge)
-                    charge(old_home, op.node);
+                if (fabric)
+                    fabric->bulkTransfer(old_home, op.node, page_bytes);
             }
         }
         s.route_log.clear();

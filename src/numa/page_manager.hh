@@ -24,7 +24,6 @@
 #ifndef CARVE_NUMA_PAGE_MANAGER_HH
 #define CARVE_NUMA_PAGE_MANAGER_HH
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -41,16 +40,14 @@
 
 namespace carve {
 
+class SystemFabric;
+
 /**
  * The software half of the paper's HW/SW combination.
  */
 class PageManager
 {
   public:
-    /** Charge one page-sized bulk copy from @p src to @p dst (called
-     * from commitWindow(), i.e. in barrier context). */
-    using BulkChargeFn = std::function<void(NodeId src, NodeId dst)>;
-
     /**
      * @param cfg system configuration (NUMA policies, geometry)
      * @param track_pages profile sharing at page granularity
@@ -83,9 +80,10 @@ class PageManager
      * (first tick, domain, page) order, merge touch masks, then
      * replay the route logs through the policy engines. Policy page
      * moves set PageEntry::ready_at = @p now + migration_stall and
-     * charge their bulk copies through @p charge (when non-null).
+     * charge each page copy as SystemFabric::bulkTransfer() of one
+     * page on @p fabric (when non-null).
      */
-    void commitWindow(Cycle now, const BulkChargeFn &charge = nullptr);
+    void commitWindow(Cycle now, SystemFabric *fabric = nullptr);
 
     /** Merge the per-domain profiler shards into the main profiler.
      * Call once the run quiesces, before reading sharing stats. */

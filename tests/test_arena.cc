@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the chunked Arena / Pool<T> allocator family
  * (src/common/arena.hh): alignment guarantees, chunk growth,
- * handle/pointer stability across growth, reset()/reuse semantics,
- * and the hostnuma fallback contract. The use-after-free poisoning
+ * handle/pointer stability across growth, move semantics, and the
+ * hostnuma fallback contract. The use-after-free poisoning
  * path is exercised under the ASan/UBSan CI job, where a recycled
  * handle dereference traps in the sanitizer.
  */
@@ -98,25 +98,6 @@ TEST(Arena, AllocationsDoNotOverlap)
             EXPECT_TRUE(disjoint) << "spans " << i << "/" << j;
         }
     }
-}
-
-TEST(Arena, ResetRewindsWithoutReleasingSlabs)
-{
-    Arena arena(1024);
-    for (int i = 0; i < 50; ++i)
-        arena.allocate(64, 8);
-    const std::size_t reserved = arena.reservedBytes();
-    ASSERT_GT(reserved, 0u);
-
-    arena.reset();
-    EXPECT_EQ(arena.usedBytes(), 0u);
-    EXPECT_EQ(arena.reservedBytes(), reserved);
-
-    // Reuse after reset must not grow the reservation until the old
-    // high-water mark is passed again.
-    for (int i = 0; i < 50; ++i)
-        arena.allocate(64, 8);
-    EXPECT_EQ(arena.reservedBytes(), reserved);
 }
 
 TEST(Arena, MoveTransfersOwnership)

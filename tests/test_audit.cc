@@ -92,7 +92,7 @@ TEST(CheckCacheProbes, ConsistentTreePasses)
     c.misses = 3;
     c.probes = 8;
     std::vector<std::string> fails;
-    audit::checkCacheProbes(root, fails);
+    audit::checkCacheProbes(stats::flattenStats(root), fails);
     EXPECT_TRUE(fails.empty());
 }
 
@@ -109,7 +109,7 @@ TEST(CheckCacheProbes, LeakedProbeIsFlagged)
     c.misses = 3;
     c.probes = 9;  // one probe unaccounted for
     std::vector<std::string> fails;
-    audit::checkCacheProbes(root, fails);
+    audit::checkCacheProbes(stats::flattenStats(root), fails);
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_TRUE(anyContains(fails, "gpu0.l2.probes"));
     EXPECT_TRUE(anyContains(fails, "(9)"));
@@ -129,7 +129,7 @@ TEST(CheckCacheProbes, StaleHitsCountWhenRegistered)
     c.stale = 1;
     c.probes = 4;
     std::vector<std::string> fails;
-    audit::checkCacheProbes(root, fails);
+    audit::checkCacheProbes(stats::flattenStats(root), fails);
     EXPECT_TRUE(fails.empty());
 }
 
@@ -169,7 +169,7 @@ TEST(CheckConservation, ConsistentPartialTreePasses)
     g.dirty_evictions = 2;
     g.writeback_victims = 2;
     std::vector<std::string> fails;
-    audit::checkConservation(root, {}, fails);
+    audit::checkConservation(stats::flattenStats(root), {}, fails);
     EXPECT_TRUE(fails.empty());
 }
 
@@ -182,7 +182,7 @@ TEST(CheckConservation, DroppedDirtyVictimIsFlagged)
     g.dirty_evictions = 3;
     g.writeback_victims = 0;
     std::vector<std::string> fails;
-    audit::checkConservation(root, {}, fails);
+    audit::checkConservation(stats::flattenStats(root), {}, fails);
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_TRUE(anyContains(fails, "gpu0.rdc.alloy.dirty_evictions"));
     EXPECT_TRUE(anyContains(fails, "gpu0.rdc.writeback_victims"));
@@ -195,7 +195,7 @@ TEST(CheckConservation, MisclassifiedReadIsFlagged)
     g.remote_reads = 4;
     g.read_misses = 3;  // one read classified remote without a miss
     std::vector<std::string> fails;
-    audit::checkConservation(root, {}, fails);
+    audit::checkConservation(stats::flattenStats(root), {}, fails);
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_TRUE(anyContains(fails, "gpu0.traffic.remote_reads"));
 }
@@ -211,7 +211,7 @@ TEST(CheckConservation, PhantomFlushIsFlagged)
     stats::Scalar fabric_flush;
     fabric.addScalar("flush_bytes", &fabric_flush);  // stays 0
     std::vector<std::string> fails;
-    audit::checkConservation(root, {}, fails);
+    audit::checkConservation(stats::flattenStats(root), {}, fails);
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_TRUE(anyContains(fails, "fabric.flush_bytes"));
     EXPECT_TRUE(anyContains(fails, "(4096)"));
@@ -239,7 +239,7 @@ TEST(CheckConservation, OverchargedWriteMessageIsFlagged)
     g.traffic.addScalar("remote_writes", &remote_writes);
     remote_writes = 5;  // but fabric.remote_write_msgs stays 0
     std::vector<std::string> fails;
-    audit::checkConservation(root, {}, fails);
+    audit::checkConservation(stats::flattenStats(root), {}, fails);
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_TRUE(anyContains(fails, "fabric.remote_write_msgs"));
     EXPECT_TRUE(anyContains(fails, "(5)"));

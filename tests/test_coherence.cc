@@ -10,6 +10,7 @@
 #include "coherence/imst.hh"
 #include "coherence/software_coherence.hh"
 #include "common/units.hh"
+#include "sim_test_util.hh"
 
 namespace carve {
 namespace {
@@ -134,62 +135,43 @@ TEST(Imst, StateNames)
 
 struct GpuViFixture : public ::testing::Test
 {
-    GpuViFixture()
-    {
-        cfg.num_gpus = 4;
-        ops.invalidate_at = [this](NodeId n, Addr line) {
-            invalidated.emplace_back(n, line);
-        };
-        ops.send_ctrl = [this](NodeId s, NodeId d, unsigned bytes) {
-            ctrl_packets.emplace_back(s, d);
-            ctrl_bytes += bytes;
-        };
-    }
+    GpuViFixture() { cfg.num_gpus = 4; }
 
+    EventQueue eq;
     SystemConfig cfg;
-    CoherenceOps ops;
-    std::vector<std::pair<NodeId, Addr>> invalidated;
-    std::vector<std::pair<NodeId, NodeId>> ctrl_packets;
-    std::uint64_t ctrl_bytes = 0;
+    test::RecordingFabric fabric{eq};
 };
 
 TEST_F(GpuViFixture, PrivateWritesAreFiltered)
 {
-    GpuVi vi(cfg, 4, ops);
+    GpuVi vi(cfg, 4, fabric);
     vi.onRead(0, 2, 0x100);
     EXPECT_EQ(vi.onWrite(0, 2, 0x100), 0u);
-    EXPECT_TRUE(invalidated.empty());
+    EXPECT_TRUE(fabric.invalidates.empty());
     EXPECT_EQ(vi.writesFiltered(), 1u);
 }
 
 TEST_F(GpuViFixture, SharedWriteBroadcastsToAllButWriter)
 {
-    GpuVi vi(cfg, 4, ops);
+    GpuVi vi(cfg, 4, fabric);
     vi.onRead(0, 1, 0x100);
     vi.onRead(0, 2, 0x100);
     const unsigned sent = vi.onWrite(0, 1, 0x100);
     EXPECT_EQ(sent, 3u);  // nodes 0, 2, 3
-    EXPECT_EQ(invalidated.size(), 3u);
-    for (const auto &[node, line] : invalidated) {
-        EXPECT_NE(node, 1u);
-        EXPECT_EQ(line, 0x100u);
+    EXPECT_EQ(fabric.invalidates.size(), 3u);
+    for (const test::FabricCall &inv : fabric.invalidates) {
+        EXPECT_NE(inv.dst, 1u);
+        EXPECT_EQ(inv.line, 0x100u);
     }
     // The home (node 0) drops its copy without a network packet.
-    EXPECT_EQ(ctrl_packets.size(), 2u);
-    EXPECT_EQ(ctrl_bytes, 2u * cfg.link.ctrl_packet_size);
-}
-
-TEST_F(GpuViFixture, UnfilteredModeBroadcastsEveryWrite)
-{
-    GpuVi vi(cfg, 4, ops, /* use_imst */ false);
-    vi.onRead(0, 2, 0x100);  // line is private to 2
-    EXPECT_EQ(vi.onWrite(0, 2, 0x100), 3u);
-    EXPECT_FALSE(vi.usesImst());
+    EXPECT_EQ(fabric.ctrl.size(), 2u);
+    EXPECT_EQ(test::totalBytes(fabric.ctrl),
+              2u * cfg.link.ctrl_packet_size);
 }
 
 TEST_F(GpuViFixture, InvalidateCountAccumulates)
 {
-    GpuVi vi(cfg, 4, ops);
+    GpuVi vi(cfg, 4, fabric);
     vi.onRead(1, 0, 0x200);
     vi.onRead(1, 2, 0x200);
     vi.onWrite(1, 0, 0x200);

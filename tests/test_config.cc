@@ -93,6 +93,10 @@ TEST(ConfigDeathTest, UnknownOverrideKeyIsFatal)
     SystemConfig cfg;
     EXPECT_EXIT(cfg.applyOverride("bogus.key", "1"),
                 ::testing::ExitedWithCode(1), "unknown override");
+    // A knob nothing read (the SM hard-codes one issue per cycle) is
+    // no key: it would split one simulation across two job keys.
+    EXPECT_EXIT(cfg.applyOverride("core.lsu_issue_per_cycle", "4"),
+                ::testing::ExitedWithCode(1), "unknown override");
 }
 
 TEST(Config, EveryListedOverrideKeyIsAccepted)

@@ -109,7 +109,8 @@ struct ChannelFixture : public ::testing::Test
         cfg.row_miss_latency = 30;
         cfg.read_queue = 8;
         cfg.write_queue = 8;
-        channel = std::make_unique<DramChannel>(eq, cfg, 128);
+        channel = std::make_unique<DramChannel>(
+            eq, cfg, 128, Completion::bind<&Probe::bump>(&retries));
     }
 
     DramRequest
@@ -125,6 +126,7 @@ struct ChannelFixture : public ::testing::Test
 
     EventQueue eq;
     DramConfig cfg;
+    Probe retries;  ///< counts the channel's retry notifications
     std::unique_ptr<DramChannel> channel;
 };
 
@@ -256,10 +258,9 @@ TEST_F(ChannelFixture, FullQueueRejectsAndRetries)
             ++rejected;
     }
     EXPECT_GT(rejected, 0);
-    bool retried = false;
-    channel->setRetryCallback([&] { retried = true; });
+    EXPECT_EQ(retries.count, 0);
     eq.run();
-    EXPECT_TRUE(retried);
+    EXPECT_GT(retries.count, 0);
     EXPECT_EQ(p.count, 12 - rejected);
 }
 

@@ -166,43 +166,46 @@ class ScriptedWorkload : public Workload
     }
 };
 
-struct SmFixture : public ::testing::Test
+/** The SM's owner, faked: a fixed-latency L2 and counters. */
+struct SmFixture : public ::testing::Test, public Sm::Port
 {
     SmFixture()
     {
         cfg.core.max_warps_per_sm = 8;
         cfg.l1.mshrs = 4;
+    }
 
-        hooks.access_l2 = [this](Addr, AccessType t,
-                                 Sm::Callback done) {
-            ++l2_accesses;
-            if (isWrite(t)) {
-                ++l2_writes;
-                return;
-            }
-            // Fixed-latency backing store.
-            eq.scheduleAfter(50, std::move(done));
-        };
-        hooks.record_access = [this](Addr, AccessType) {
-            ++recorded;
-        };
-        hooks.translate = [](SmId, Addr) { return Cycle{5}; };
-        hooks.cta_retired = [this](SmId, CtaId cta) {
-            retired.push_back(cta);
-        };
+    void
+    accessFromSm(Addr, AccessType t, Sm::Callback done) override
+    {
+        ++l2_accesses;
+        if (isWrite(t)) {
+            ++l2_writes;
+            return;
+        }
+        // Fixed-latency backing store.
+        eq.scheduleAfter(50, done);
+    }
+
+    void recordAccess(Addr, AccessType) override { ++recorded; }
+
+    Cycle translate(SmId, Addr) override { return Cycle{5}; }
+
+    void
+    onCtaRetired(SmId, CtaId cta) override
+    {
+        retired.push_back(cta);
     }
 
     Sm &
     makeSm()
     {
-        sm = std::make_unique<Sm>(eq, cfg, 0, hooks);
-        sm->setWorkload(&wl);
+        sm = std::make_unique<Sm>(eq, cfg, 0, wl, *this);
         return *sm;
     }
 
     EventQueue eq;
     SystemConfig cfg;
-    Sm::Hooks hooks;
     ScriptedWorkload wl;
     std::unique_ptr<Sm> sm;
     unsigned l2_accesses = 0;

@@ -1,9 +1,10 @@
-/** @file Unit tests for GpuNode with a scripted SystemFabric mock:
+/** @file Unit tests for GpuNode over the recording SystemFabric fake:
  * post-LLC routing, traffic classification, home-side servicing,
  * hardware invalidation fan-in and kernel-boundary coherence. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -14,78 +15,6 @@
 
 namespace carve {
 namespace {
-
-/** Records every off-chip request; services reads after a fixed
- * latency. */
-class MockFabric : public SystemFabric
-{
-  public:
-    explicit MockFabric(EventQueue &eq) : eq_(eq) {}
-
-    void
-    remoteRead(NodeId src, NodeId home, Addr line,
-               Callback done) override
-    {
-        remote_reads.push_back({src, home, line});
-        eq_.scheduleAfter(400, std::move(done));
-    }
-
-    void
-    remoteWrite(NodeId src, NodeId home, Addr line) override
-    {
-        remote_writes.push_back({src, home, line});
-    }
-
-    void
-    cpuRead(NodeId src, Addr line, Callback done) override
-    {
-        cpu_reads.push_back({src, cpu_node, line});
-        eq_.scheduleAfter(700, std::move(done));
-    }
-
-    void
-    cpuWrite(NodeId src, Addr line) override
-    {
-        cpu_writes.push_back({src, cpu_node, line});
-    }
-
-    void
-    bulkTransfer(NodeId, NodeId, std::uint64_t bytes) override
-    {
-        bulk_bytes += bytes;
-    }
-
-    void
-    rdcFlush(NodeId, NodeId home, std::uint64_t bytes) override
-    {
-        ++rdc_flushes;
-        last_flush_home = home;
-        flush_bytes += bytes;
-    }
-
-    void
-    coherenceLocalAccess(NodeId, Addr, AccessType type) override
-    {
-        if (isWrite(type))
-            ++local_write_coherence;
-    }
-
-    struct Req
-    {
-        NodeId src;
-        NodeId home;
-        Addr line;
-    };
-
-    EventQueue &eq_;
-    std::vector<Req> remote_reads, remote_writes, cpu_reads,
-        cpu_writes;
-    std::uint64_t bulk_bytes = 0;
-    unsigned rdc_flushes = 0;
-    NodeId last_flush_home = invalid_node;
-    std::uint64_t flush_bytes = 0;
-    unsigned local_write_coherence = 0;
-};
 
 /** Trivial workload: one read or write per instruction at scripted
  * addresses. */
@@ -137,11 +66,9 @@ struct GpuNodeFixture : public ::testing::Test
     build()
     {
         pages = std::make_unique<PageManager>(cfg);
-        fabric = std::make_unique<MockFabric>(eq);
-        node = std::make_unique<GpuNode>(eq, cfg, 0, *pages,
+        fabric = std::make_unique<test::RecordingFabric>(eq);
+        node = std::make_unique<GpuNode>(eq, cfg, 0, wl, *pages,
                                          *fabric);
-        node->setWorkload(&wl);
-        node->setKernelDoneCallback([this](NodeId) { done = true; });
         sched = std::make_unique<CtaScheduler>(1);
     }
 
@@ -151,17 +78,16 @@ struct GpuNodeFixture : public ::testing::Test
         sched->launchKernel(wl.numCtas(0));
         node->startKernel(0, *sched);
         eq.run();
-        EXPECT_TRUE(done);
+        EXPECT_FALSE(fabric->kernels_done.empty());
     }
 
     EventQueue eq;
     SystemConfig cfg;
     OneLineWorkload wl;
     std::unique_ptr<PageManager> pages;
-    std::unique_ptr<MockFabric> fabric;
+    std::unique_ptr<test::RecordingFabric> fabric;
     std::unique_ptr<GpuNode> node;
     std::unique_ptr<CtaScheduler> sched;
-    bool done = false;
 };
 
 TEST_F(GpuNodeFixture, LocalReadNeverLeavesTheNode)
@@ -183,7 +109,7 @@ TEST_F(GpuNodeFixture, RemoteReadGoesThroughRdcThenHits)
     // Exactly one RDC-miss fetch; the repeats hit the carve-out or
     // merge behind the fetch.
     EXPECT_EQ(fabric->remote_reads.size(), 1u);
-    EXPECT_EQ(fabric->remote_reads[0].home, 1u);
+    EXPECT_EQ(fabric->remote_reads[0].dst, 1u);
     ASSERT_NE(node->rdc(), nullptr);
     EXPECT_TRUE(node->rdc()->contains(
         alignDown(Addr{0x1000}, cfg.line_size)));
@@ -224,9 +150,9 @@ TEST_F(GpuNodeFixture, SwcBoundaryFlushesDirtyBytesOverFabric)
     EXPECT_EQ(node->traffic().rdc_hit_writes, 1u);
     const Cycle stall = node->kernelBoundary();
     EXPECT_GT(stall, 0u);
-    EXPECT_EQ(fabric->rdc_flushes, 1u);
-    EXPECT_EQ(fabric->last_flush_home, 1u);
-    EXPECT_EQ(fabric->flush_bytes,
+    EXPECT_EQ(fabric->flushes.size(), 1u);
+    EXPECT_EQ(fabric->flushes.back().dst, 1u);
+    EXPECT_EQ(test::totalBytes(fabric->flushes),
               node->rdc()->dirtyMap().regionSize());
 }
 
@@ -235,7 +161,12 @@ TEST_F(GpuNodeFixture, LocalWriteTriggersCoherenceHook)
     build();
     wl.type = AccessType::Write;
     runKernel();
-    EXPECT_EQ(fabric->local_write_coherence, 1u);
+    EXPECT_EQ(std::count_if(fabric->local_accesses.begin(),
+                            fabric->local_accesses.end(),
+                            [](const test::FabricCall &c) {
+                                return isWrite(c.type);
+                            }),
+              1);
     EXPECT_EQ(node->traffic().local_writes, 1u);
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/config.hh"
 #include "numa/page_manager.hh"
+#include "sim_test_util.hh"
 
 namespace carve {
 namespace {
@@ -375,16 +376,13 @@ TEST(PageManager, ReadOnlyReplicationChargesCopyThenGoesLocal)
     // replays it, replicates the page and charges the copy.
     pm.recordAccess(0x1000, 1, AccessType::Read, 1);
     EXPECT_EQ(pm.route(0x1000, 1, AccessType::Read, 1), 0u);
-    unsigned charges = 0;
-    NodeId copy_src = invalid_node, copy_dst = invalid_node;
-    pm.commitWindow(2, [&](NodeId src, NodeId dst) {
-        ++charges;
-        copy_src = src;
-        copy_dst = dst;
-    });
-    EXPECT_EQ(charges, 1u);
-    EXPECT_EQ(copy_src, 0u);
-    EXPECT_EQ(copy_dst, 1u);
+    EventQueue eq;
+    test::RecordingFabric fabric(eq);
+    pm.commitWindow(2, &fabric);
+    ASSERT_EQ(fabric.bulk.size(), 1u);
+    EXPECT_EQ(fabric.bulk[0].src, 0u);
+    EXPECT_EQ(fabric.bulk[0].dst, 1u);
+    EXPECT_EQ(fabric.bulk[0].bytes, cfg.page_size);
     // Replica hit from the next window on.
     EXPECT_EQ(pm.route(0x1000, 1, AccessType::Read, 2), 1u);
 }
@@ -427,14 +425,11 @@ TEST(PageManager, SpilledPageRoutesToCpuThenMigrates)
     // the page is pulled in and the copy charged to the CPU link.
     pm.route(0x1000, 1, AccessType::Read, 1);
     pm.route(0x1000, 1, AccessType::Read, 1);
-    unsigned charges = 0;
-    NodeId copy_src = invalid_node;
-    pm.commitWindow(2, [&](NodeId src, NodeId) {
-        ++charges;
-        copy_src = src;
-    });
-    EXPECT_EQ(charges, 1u);
-    EXPECT_EQ(copy_src, cpu_node);
+    EventQueue eq;
+    test::RecordingFabric fabric(eq);
+    pm.commitWindow(2, &fabric);
+    ASSERT_EQ(fabric.bulk.size(), 1u);
+    EXPECT_EQ(fabric.bulk[0].src, cpu_node);
     EXPECT_EQ(pm.homeOf(0x1000), 1u);
     EXPECT_EQ(pm.route(0x1000, 1, AccessType::Read, 2), 1u);
 }
@@ -449,11 +444,12 @@ TEST(PageManager, MigrationMovesHotPrivatePage)
     pm.commitWindow(1);
     for (int i = 0; i < 10; ++i)
         pm.route(0x1000, 2, AccessType::Read, 1);
-    unsigned charges = 0;
-    pm.commitWindow(2, [&](NodeId, NodeId) { ++charges; });
+    EventQueue eq;
+    test::RecordingFabric fabric(eq);
+    pm.commitWindow(2, &fabric);
     EXPECT_EQ(pm.homeOf(0x1000), 2u);
     EXPECT_EQ(pm.migration().migrations(), 1u);
-    EXPECT_EQ(charges, 1u);
+    EXPECT_EQ(fabric.bulk.size(), 1u);
 
     // Until the stall fence passes, accesses are serviced at the old
     // home; afterwards at the new one.

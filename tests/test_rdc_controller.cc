@@ -1,6 +1,6 @@
 /** @file Unit tests for the CARVE RDC controller: hit/miss timing
  * paths, write policies, MSHR merging, software-coherence boundaries
- * and hardware invalidation, using a scripted remote-fetch fake. */
+ * and hardware invalidation, over the recording SystemFabric fake. */
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "common/event_queue.hh"
 #include "dramcache/rdc_controller.hh"
 #include "mem/memory_controller.hh"
+#include "sim_test_util.hh"
 
 namespace carve {
 namespace {
@@ -46,33 +47,9 @@ struct RdcFixture : public ::testing::Test
         cfg.rdc.enabled = true;
         cfg.rdc.size = 4 * MiB;
         cfg.rdc.coherence = RdcCoherence::HardwareVI;
+        fabric.remote_read_latency = remote_latency;
         mem = std::make_unique<MemoryController>(eq, cfg);
         rebuild();
-    }
-
-    RdcRemoteOps
-    makeOps()
-    {
-        RdcRemoteOps ops;
-        ops.fetch_remote = [this](NodeId home, Addr line,
-                                  Completion done) {
-            ++fetches;
-            last_fetch_home = home;
-            last_fetch_line = line;
-            // Model a fixed remote round trip.
-            eq.scheduleAfter(remote_latency, done);
-        };
-        ops.write_remote = [this](NodeId home, Addr line) {
-            ++remote_writes;
-            last_write_home = home;
-            last_write_line = line;
-        };
-        ops.flush_remote = [this](NodeId home, std::uint64_t bytes) {
-            ++flushes;
-            last_flush_home = home;
-            flushed_bytes += bytes;
-        };
-        return ops;
     }
 
     /** (Re)create the controller; derived fixtures that change
@@ -81,23 +58,16 @@ struct RdcFixture : public ::testing::Test
     rebuild()
     {
         rdc = std::make_unique<RdcController>(eq, cfg, 0, *mem,
-                                              makeOps());
+                                              fabric);
     }
 
     EventQueue eq;
     SystemConfig cfg;
+    /** Remote fetches complete after a fixed round trip. */
+    test::RecordingFabric fabric{eq};
     std::unique_ptr<MemoryController> mem;
     std::unique_ptr<RdcController> rdc;
 
-    unsigned fetches = 0;
-    unsigned remote_writes = 0;
-    unsigned flushes = 0;
-    std::uint64_t flushed_bytes = 0;
-    NodeId last_fetch_home = invalid_node;
-    Addr last_fetch_line = invalid_addr;
-    NodeId last_write_home = invalid_node;
-    Addr last_write_line = invalid_addr;
-    NodeId last_flush_home = invalid_node;
     static constexpr Cycle remote_latency = 500;
 };
 
@@ -107,9 +77,9 @@ TEST_F(RdcFixture, ColdReadFetchesRemotelyAndInstalls)
     rdc->read(1, 0x1000, Completion::bind<&Probe::bump>(&p));
     eq.run();
     EXPECT_EQ(p.count, 1);
-    EXPECT_EQ(fetches, 1u);
-    EXPECT_EQ(last_fetch_home, 1u);
-    EXPECT_EQ(last_fetch_line, 0x1000u);
+    EXPECT_EQ(fabric.remote_reads.size(), 1u);
+    EXPECT_EQ(fabric.remote_reads.back().dst, 1u);
+    EXPECT_EQ(fabric.remote_reads.back().line, 0x1000u);
     EXPECT_TRUE(rdc->contains(0x1000));
     EXPECT_EQ(rdc->readMisses(), 1u);
 }
@@ -122,7 +92,7 @@ TEST_F(RdcFixture, SecondReadHitsLocally)
     rdc->read(1, 0x1000, Completion::bind<&Probe::bump>(&p));
     eq.run();
     EXPECT_EQ(p.count, 1);
-    EXPECT_EQ(fetches, 1u);  // no second remote trip
+    EXPECT_EQ(fabric.remote_reads.size(), 1u);  // no second remote trip
     EXPECT_EQ(rdc->readHits(), 1u);
 }
 
@@ -148,15 +118,15 @@ TEST_F(RdcFixture, ConcurrentMissesToSameLineMerge)
     rdc->read(1, 0x2000, Completion::bind<&Probe::bump>(&p));
     eq.run();
     EXPECT_EQ(p.count, 3);
-    EXPECT_EQ(fetches, 1u);  // one remote fetch services all three
+    EXPECT_EQ(fabric.remote_reads.size(), 1u);  // one remote fetch services all three
 }
 
 TEST_F(RdcFixture, WriteThroughForwardsEveryWrite)
 {
     rdc->write(2, 0x3000);
     eq.run();
-    EXPECT_EQ(remote_writes, 1u);
-    EXPECT_EQ(last_write_home, 2u);
+    EXPECT_EQ(fabric.remote_writes.size(), 1u);
+    EXPECT_EQ(fabric.remote_writes.back().dst, 2u);
     // Write-through never allocates on a write miss.
     EXPECT_FALSE(rdc->contains(0x3000));
 }
@@ -167,7 +137,7 @@ TEST_F(RdcFixture, WriteThroughUpdatesResidentCopy)
     eq.run();
     rdc->write(1, 0x1000);
     eq.run();
-    EXPECT_EQ(remote_writes, 1u);
+    EXPECT_EQ(fabric.remote_writes.size(), 1u);
     EXPECT_TRUE(rdc->contains(0x1000));  // still resident & current
 }
 
@@ -203,7 +173,7 @@ TEST_F(RdcWritebackFixture, WritesAllocateAndDeferPropagation)
 {
     rdc->write(1, 0x5000);
     eq.run();
-    EXPECT_EQ(remote_writes, 0u);  // deferred
+    EXPECT_EQ(fabric.remote_writes.size(), 0u);  // deferred
     EXPECT_TRUE(rdc->contains(0x5000));
     EXPECT_GT(rdc->dirtyMap().dirtyRegions(), 0u);
 }
@@ -221,33 +191,33 @@ TEST_F(RdcWritebackFixture, BoundaryFlushCostsLinkTime)
     EXPECT_EQ(rdc->dirtyMap().dirtyRegions(), 0u);
     // The stall is not just accounting: the dirty bytes really leave
     // for their home over the flush path.
-    EXPECT_GT(flushes, 0u);
-    EXPECT_EQ(flushed_bytes, dirty);
-    EXPECT_EQ(last_flush_home, 1u);
+    EXPECT_GT(fabric.flushes.size(), 0u);
+    EXPECT_EQ(test::totalBytes(fabric.flushes), dirty);
+    EXPECT_EQ(fabric.flushes.back().dst, 1u);
     // A second boundary has nothing left to flush.
     EXPECT_EQ(rdc->kernelBoundarySwc(), 0u);
-    EXPECT_EQ(flushed_bytes, dirty);
+    EXPECT_EQ(test::totalBytes(fabric.flushes), dirty);
 }
 
 TEST_F(RdcWritebackFixture, DisplacedDirtyVictimIsWrittenHome)
 {
     rdc->write(1, 0x5000);
     eq.run();
-    ASSERT_EQ(remote_writes, 0u);  // absorbed, not forwarded
+    ASSERT_EQ(fabric.remote_writes.size(), 0u);  // absorbed, not forwarded
     // 4 MiB direct-mapped carve-out: +4 MiB maps to the same set, so
     // the fill displaces the dirty line.
     rdc->read(2, 0x5000 + 4 * MiB, {});
     eq.run();
-    EXPECT_EQ(remote_writes, 1u);
-    EXPECT_EQ(last_write_home, 1u);
-    EXPECT_EQ(last_write_line, 0x5000u);
+    EXPECT_EQ(fabric.remote_writes.size(), 1u);
+    EXPECT_EQ(fabric.remote_writes.back().dst, 1u);
+    EXPECT_EQ(fabric.remote_writes.back().line, 0x5000u);
     EXPECT_FALSE(rdc->contains(0x5000));
     EXPECT_TRUE(rdc->contains(0x5000 + 4 * MiB));
     // The displaced set no longer reads as dirty...
     EXPECT_EQ(rdc->dirtyMap().dirtyLines(), 0u);
     // ...so the next boundary flushes nothing.
     EXPECT_EQ(rdc->kernelBoundarySwc(), 0u);
-    EXPECT_EQ(flushes, 0u);
+    EXPECT_EQ(fabric.flushes.size(), 0u);
 }
 
 TEST_F(RdcWritebackFixture, WriteConflictWritesVictimBackFirst)
@@ -255,9 +225,9 @@ TEST_F(RdcWritebackFixture, WriteConflictWritesVictimBackFirst)
     rdc->write(1, 0x5000);
     rdc->write(2, 0x5000 + 4 * MiB);  // same set, different home
     eq.run();
-    EXPECT_EQ(remote_writes, 1u);
-    EXPECT_EQ(last_write_home, 1u);
-    EXPECT_EQ(last_write_line, 0x5000u);
+    EXPECT_EQ(fabric.remote_writes.size(), 1u);
+    EXPECT_EQ(fabric.remote_writes.back().dst, 1u);
+    EXPECT_EQ(fabric.remote_writes.back().line, 0x5000u);
     // The set's dirty-map entry now belongs to the new line.
     ASSERT_EQ(rdc->dirtyMap().dirtyLines(), 1u);
     EXPECT_EQ(rdc->dirtyMap().dirtySets().begin()->second, 2u);
@@ -274,8 +244,8 @@ TEST_F(RdcWritebackFixture, InvalidateDropsDirtyTracking)
     EXPECT_TRUE(rdc->invalidateLine(0x5000));
     EXPECT_EQ(rdc->dirtyMap().dirtyLines(), 0u);
     EXPECT_EQ(rdc->kernelBoundarySwc(), 0u);
-    EXPECT_EQ(flushes, 0u);
-    EXPECT_EQ(remote_writes, 0u);
+    EXPECT_EQ(fabric.flushes.size(), 0u);
+    EXPECT_EQ(fabric.remote_writes.size(), 0u);
 }
 
 TEST_F(RdcWritebackFixture, DirtyStateAuditIsCleanThroughout)
@@ -341,7 +311,7 @@ TEST_F(RdcTinyMshrFixture, OverflowParksInsteadOfPanicking)
     }
     eq.run();
     EXPECT_EQ(p.count, 5);
-    EXPECT_EQ(fetches, 5u);
+    EXPECT_EQ(fabric.remote_reads.size(), 5u);
     EXPECT_GT(rdc->mshrs().parks(), 0u);
     for (Addr i = 0; i < 5; ++i)
         EXPECT_TRUE(rdc->contains(0x1000 + i * 128));
@@ -356,7 +326,7 @@ TEST_F(RdcTinyMshrFixture, ParkedMissToOutstandingLineMerges)
     rdc->read(1, 0x1000, Completion::bind<&Probe::bump>(&p));
     eq.run();
     EXPECT_EQ(p.count, 2);
-    EXPECT_EQ(fetches, 1u);
+    EXPECT_EQ(fabric.remote_reads.size(), 1u);
 }
 
 TEST_F(RdcFixture, DistinctSetsDoNotInterfere)
