@@ -71,7 +71,7 @@ struct RunOptions
  * One fully-described simulation: everything run() needs, in one
  * value. A SimJob is cheap to copy, trivially serializable by the
  * harness, and the single currency every driver (carve-sweep, the
- * bench binaries, carve-bench, the examples) trades in.
+ * bench binaries, the examples) trades in.
  */
 struct SimJob
 {

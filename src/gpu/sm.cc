@@ -27,7 +27,6 @@ Sm::tryStartCta(KernelId k, CtaId cta)
         return false;
 
     const std::uint64_t insts = wl_.instsPerWarp(k);
-    cta_live_warps_[cta] = wpc;
     unsigned placed = 0;
     for (unsigned slot = 0; slot < warps_.size() && placed < wpc;
          ++slot) {
@@ -223,13 +222,14 @@ Sm::finishWarp(unsigned slot)
     carve_assert(active_warps_ > 0);
     --active_warps_;
 
-    auto it = cta_live_warps_.find(w.cta);
-    carve_assert(it != cta_live_warps_.end() && it->second > 0);
-    if (--it->second == 0) {
-        const CtaId cta = w.cta;
-        cta_live_warps_.erase(it);
-        port_.onCtaRetired(id_, cta);
-    }
+    // The CTA retires with its last warp: no other active slot
+    // still holds its id.
+    const bool last = std::none_of(
+        warps_.begin(), warps_.end(), [&](const WarpContext &o) {
+            return o.active && o.cta == w.cta;
+        });
+    if (last)
+        port_.onCtaRetired(id_, w.cta);
 }
 
 void

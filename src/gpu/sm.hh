@@ -10,7 +10,6 @@
 #define CARVE_GPU_SM_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -163,8 +162,6 @@ class Sm
     std::vector<WarpContext> warps_;
     unsigned active_warps_ = 0;
     Cycle lsu_free_at_ = 0;
-    /** Live warps per resident CTA. */
-    std::unordered_map<CtaId, unsigned> cta_live_warps_;
     trace::Probe read_;   ///< warp read latency (issue -> all lines back)
     trace::Probe stall_;  ///< one L1 MSHR stall episode ended
 

@@ -212,8 +212,13 @@ resultFromJson(json::Value v)
     r.sim.shared_line_footprint = u64At(s, "shared_line_footprint");
     r.sim.total_page_footprint = u64At(s, "total_page_footprint");
     r.sim.watchdog_tripped = r.status == RunStatus::Watchdog;
-    if (v.has("stat_tree"))
+    if (v.has("stat_tree")) {
         r.sim.stat_tree = statTreeFromJson(std::move(v).at("stat_tree"));
+        // The summary block does not carry the event count.
+        if (const stats::FlatStat *f =
+                stats::lookup(r.sim.stat_tree, "sim.events"))
+            r.sim.events = f->u64;
+    }
     return r;
 }
 

@@ -63,22 +63,17 @@ Link::send(std::uint64_t bytes, Callback delivered)
     queue_.span(now, start);
     wire_.span(start, start + occupancy, bytes);
 
+    const Cycle arrival = wire_free_at_ + latency_;
     if (audit_) {
-        // Wrap (and, for posted packets, materialize) the delivery so
-        // the token is provably retired at the receiver.
+        // The token retires at the receiver, in its own event just
+        // ahead of the delivery: a wrapper around the delivery would
+        // outgrow EventFn's inline buffer and box once per packet.
         audit_->issue(audit::Boundary::LinkDelivery);
-        delivered = [tracker = audit_,
-                     inner = std::move(delivered)]() mutable {
-            tracker->retire(audit::Boundary::LinkDelivery);
-            if (inner)
-                inner();
-        };
+        engine_.post(dst_domain_, arrival,
+                     bindEvent<&audit::InflightTracker::retire>(
+                         audit_, audit::Boundary::LinkDelivery));
     }
-
-    if (delivered) {
-        engine_.post(dst_domain_, wire_free_at_ + latency_,
-                     std::move(delivered));
-    }
+    engine_.post(dst_domain_, arrival, std::move(delivered));
 }
 
 } // namespace carve

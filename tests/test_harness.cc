@@ -1,7 +1,7 @@
 /** @file Tests for the experiment harness: JSON model, parallel
  * sweep determinism, per-run failure isolation, watchdog surfacing,
- * the baseline regression gate, results-file provenance, clean exits
- * on malformed results and bench files, and the bench gate. */
+ * the baseline regression gate, results-file provenance and clean
+ * exits on malformed results files. */
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "harness/bench_io.hh"
 #include "harness/json.hh"
 #include "harness/results_io.hh"
 #include "harness/sweep.hh"
@@ -435,6 +434,7 @@ TEST_F(HarnessTest, ResultsSurviveJsonRoundTrip)
     ASSERT_EQ(back.size(), 1u);
     EXPECT_EQ(back[0].key(), r.key());
     EXPECT_EQ(back[0].sim.cycles, r.sim.cycles);
+    EXPECT_EQ(back[0].sim.events, r.sim.events);
     EXPECT_EQ(back[0].sim.rdc_hits, r.sim.rdc_hits);
     EXPECT_DOUBLE_EQ(back[0].sim.frac_remote, r.sim.frac_remote);
     EXPECT_EQ(back[0].sim.traffic.remote_reads,
@@ -673,126 +673,6 @@ TEST_F(HarnessTest, ResultsFileWithNumericSchemaExitsCleanly)
     writeFile(path, "{\"schema\": 2, \"runs\": []}");
     EXPECT_EXIT(readResultsFile(path), ::testing::ExitedWithCode(1),
                 "member 'schema'");
-}
-
-/** A one-cell bench report as carve-bench writes it. */
-BenchReport
-miniBench(double host_seconds, std::uint64_t events,
-          std::uint64_t allocations)
-{
-    BenchReport r;
-    r.date = "2026-01-01";
-    r.git_version = "test";
-    r.engine = "calendar";
-    r.micro.push_back({"eventq/calendar", 1000, 0.001, 1e6});
-    CellResult c;
-    c.preset = "NUMA-GPU";
-    c.workload = "Lulesh";
-    c.cycles = 100;
-    c.events = events;
-    c.warp_insts = 50;
-    c.allocations = allocations;
-    c.host_seconds = host_seconds;
-    r.cells.push_back(c);
-    return r;
-}
-
-TEST_F(HarnessTest, BenchFileMissingDateExitsCleanly)
-{
-    json::Value doc = benchToJson(miniBench(1.0, 4242, 100));
-    json::Members kept;
-    for (auto &[key, value] : std::move(doc).asObject())
-        if (key != "date")
-            kept.emplace_back(key, std::move(value));
-    const std::string path = ::testing::TempDir() + "no-date-bench.json";
-    writeFile(path, json::Value(std::move(kept)).dump());
-    EXPECT_EXIT(readBenchFile(path), ::testing::ExitedWithCode(1),
-                "member 'date' is missing");
-}
-
-TEST_F(HarnessTest, BenchCellWithStringEventsExitsCleanly)
-{
-    std::string text = benchToJson(miniBench(1.0, 4242, 100)).dump();
-    const std::string events = "\"events\": 4242";
-    const std::size_t at = text.find(events);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, events.size(), "\"events\": \"4242\"");
-    const std::string path =
-        ::testing::TempDir() + "string-events-bench.json";
-    writeFile(path, text);
-    EXPECT_EXIT(readBenchFile(path), ::testing::ExitedWithCode(1),
-                "cell member 'events' is missing or not an integer");
-}
-
-// ---- bench comparison --------------------------------------------------
-
-/** The delta compareBench() reports for @p metric; fails if absent. */
-BenchDelta
-deltaOf(const std::vector<BenchDelta> &deltas, const std::string &metric)
-{
-    for (const auto &d : deltas)
-        if (d.metric == metric)
-            return d;
-    ADD_FAILURE() << "no delta for " << metric;
-    return {};
-}
-
-TEST_F(HarnessTest, BenchCompareGatesEachCellMetricAtTheFailFactor)
-{
-    const BenchReport base = miniBench(1.0, 1000, 1000);
-
-    // Within the factor on every metric: no regression.
-    const auto ok = compareBench(base, miniBench(1.9, 1900, 1900), 2.0);
-    EXPECT_FALSE(benchHasRegression(ok));
-    for (const char *m : {"host_seconds", "events", "allocations"}) {
-        const BenchDelta d = deltaOf(ok, m);
-        EXPECT_FALSE(d.regression) << m;
-        EXPECT_DOUBLE_EQ(d.factor, 1.9) << m;
-    }
-
-    // Beyond the factor: each metric gates on its own.
-    const struct
-    {
-        const char *metric;
-        BenchReport cand;
-    } cases[] = {
-        {"host_seconds", miniBench(2.1, 1000, 1000)},
-        {"events", miniBench(1.0, 2100, 1000)},
-        {"allocations", miniBench(1.0, 1000, 2100)},
-    };
-    for (const auto &c : cases) {
-        const auto deltas = compareBench(base, c.cand, 2.0);
-        EXPECT_TRUE(benchHasRegression(deltas)) << c.metric;
-        for (const char *m : {"host_seconds", "events", "allocations"}) {
-            EXPECT_EQ(deltaOf(deltas, m).regression,
-                      std::string(m) == c.metric)
-                << c.metric << " vs " << m;
-        }
-    }
-}
-
-TEST_F(HarnessTest, BenchCompareZeroAllocationBaselineNeverGates)
-{
-    // Files written before the allocations column read back as 0.
-    const auto deltas = compareBench(miniBench(1.0, 1000, 0),
-                                     miniBench(1.0, 1000, 1'000'000),
-                                     2.0);
-    EXPECT_FALSE(benchHasRegression(deltas));
-    EXPECT_FALSE(deltaOf(deltas, "allocations").regression);
-}
-
-TEST_F(HarnessTest, BenchCompareReportsMissingCellWithoutGating)
-{
-    BenchReport cand = miniBench(1.0, 1000, 1000);
-    cand.cells.front().workload = "XSBench";
-    const auto deltas =
-        compareBench(miniBench(1.0, 1000, 1000), cand, 2.0);
-    const BenchDelta d = deltaOf(deltas, "missing cell");
-    EXPECT_EQ(d.key, "NUMA-GPU/Lulesh");
-    EXPECT_EQ(d.factor, 0.0);
-    EXPECT_FALSE(benchHasRegression(deltas));
-    EXPECT_NE(formatBenchCompare(deltas, 2.0).find("MISS"),
-              std::string::npos);
 }
 
 } // namespace
