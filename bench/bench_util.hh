@@ -4,7 +4,7 @@
  * Common knobs come from the environment:
  *
  *   CARVE_BENCH_SCALE      capacity scale divisor (default 8)
- *   CARVE_BENCH_DURATION   trace-length multiplier (default 0.35; use
+ *   CARVE_BENCH_DURATION   trace-length multiplier (default 0.2; use
  *                          1.0 or more for slower, tighter runs)
  *   CARVE_BENCH_WORKLOADS  comma list to restrict the suite (optional)
  *   CARVE_BENCH_THREADS    harness worker threads for benches that

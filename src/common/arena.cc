@@ -1,13 +1,11 @@
 #include "common/arena.hh"
 
-#include "common/hostnuma.hh"
 #include "common/logging.hh"
 
 namespace carve {
 
-Arena::Arena(std::size_t chunk_bytes, int numa_node)
-    : chunk_bytes_(chunk_bytes ? chunk_bytes : std::size_t{1} << 20),
-      numa_node_(numa_node)
+Arena::Arena(std::size_t chunk_bytes)
+    : chunk_bytes_(chunk_bytes ? chunk_bytes : std::size_t{1} << 20)
 {
 }
 
@@ -15,8 +13,7 @@ Arena::Arena(Arena &&other) noexcept
     : chunks_(std::move(other.chunks_)),
       chunk_bytes_(other.chunk_bytes_),
       used_bytes_(other.used_bytes_),
-      reserved_bytes_(other.reserved_bytes_),
-      numa_node_(other.numa_node_)
+      reserved_bytes_(other.reserved_bytes_)
 {
     other.chunks_.clear();
     other.used_bytes_ = 0;
@@ -34,17 +31,10 @@ Arena::makeChunk(std::size_t size)
 {
     Chunk c;
     c.size = size;
-    if (numa_node_ >= 0) {
-        c.base = static_cast<std::byte *>(
-            hostnuma::allocOnNode(size, numa_node_));
-        c.numa_backed = c.base != nullptr;
-    }
-    if (!c.base) {
-        // Slabs are aligned to max_align_t at minimum; allocate()
-        // bumps within them to the caller's alignment.
-        c.base = static_cast<std::byte *>(::operator new(
-            size, std::align_val_t{alignof(std::max_align_t)}));
-    }
+    // Slabs are aligned to max_align_t at minimum; allocate() bumps
+    // within them to the caller's alignment.
+    c.base = static_cast<std::byte *>(::operator new(
+        size, std::align_val_t{alignof(std::max_align_t)}));
     reserved_bytes_ += size;
     CARVE_POISON(c.base, c.size);
     return c;
@@ -56,11 +46,8 @@ Arena::releaseChunk(Chunk &c)
     if (!c.base)
         return;
     CARVE_UNPOISON(c.base, c.size);
-    if (c.numa_backed)
-        hostnuma::freeOnNode(c.base, c.size);
-    else
-        ::operator delete(c.base,
-                          std::align_val_t{alignof(std::max_align_t)});
+    ::operator delete(c.base,
+                      std::align_val_t{alignof(std::max_align_t)});
     c.base = nullptr;
 }
 

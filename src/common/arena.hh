@@ -7,10 +7,7 @@
  *
  * Arena — a bump allocator over a list of chunks. Allocations are
  * aligned, never individually freed, and live until the arena is
- * destroyed. When built with -DCARVE_NUMA=ON and the arena is given a
- * host NUMA node, chunks are allocated on that node via the hostnuma
- * shim (dlopen'd libnuma); otherwise plain operator new — behaviour
- * is identical either way.
+ * destroyed. Chunks come from operator new.
  *
  * Pool<T> — a typed chunked pool with stable 32-bit handles and a
  * LIFO in-slot free list. Growth adds chunks; existing elements
@@ -71,12 +68,8 @@ class Arena
     static constexpr std::size_t default_chunk_bytes =
         std::size_t{1} << 20;
 
-    /** @param chunk_bytes slab size.
-     *  @param numa_node host NUMA node to place slabs on; -1 (or a
-     *         build without CARVE_NUMA / a machine without libnuma)
-     *         means ordinary heap memory. */
-    explicit Arena(std::size_t chunk_bytes = default_chunk_bytes,
-                   int numa_node = -1);
+    /** @param chunk_bytes slab size. */
+    explicit Arena(std::size_t chunk_bytes = default_chunk_bytes);
     ~Arena();
 
     Arena(const Arena &) = delete;
@@ -101,16 +94,12 @@ class Arena
     /** Bytes held in slabs (>= usedBytes()). */
     std::size_t reservedBytes() const { return reserved_bytes_; }
 
-    /** Host NUMA node slabs are bound to, or -1. */
-    int numaNode() const { return numa_node_; }
-
   private:
     struct Chunk
     {
         std::byte *base = nullptr;
         std::size_t size = 0;
         std::size_t used = 0;
-        bool numa_backed = false;
     };
 
     Chunk makeChunk(std::size_t size);
@@ -122,7 +111,6 @@ class Arena
     std::size_t chunk_bytes_;
     std::size_t used_bytes_ = 0;
     std::size_t reserved_bytes_ = 0;
-    int numa_node_;
 };
 
 /**

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/hostnuma.hh"
 #include "common/logging.hh"
 
 namespace carve {
@@ -16,15 +15,6 @@ namespace {
  * other domains must never observe the table reallocate (16k in-flight
  * ops per source, far above any configuration's MSHR budget). */
 constexpr std::size_t kOpPoolChunkReserve = 64;
-
-/** NUMA node the constructing thread runs on (-1 == unbound). The
- * harness binds workers before building systems, so arenas land on
- * the worker's local node when CARVE_NUMA is enabled. */
-int
-homeNumaNode()
-{
-    return hostnuma::available() ? hostnuma::currentNode() : -1;
-}
 
 } // namespace
 
@@ -39,7 +29,6 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
       wl_(wl),
       pages_(cfg_, true, profile_lines),
       net_(engine_, cfg_.link, cfg_.num_gpus),
-      sys_arena_(Arena::default_chunk_bytes, homeNumaNode()),
       sched_(cfg_.num_gpus),
       trace_(trace),
       telem_(telemetry),
@@ -55,10 +44,8 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
     }
 
     gpu_arenas_.reserve(cfg_.num_gpus);
-    for (unsigned g = 0; g < cfg_.num_gpus; ++g) {
-        gpu_arenas_.emplace_back(Arena::default_chunk_bytes,
-                                 homeNumaNode());
-    }
+    for (unsigned g = 0; g < cfg_.num_gpus; ++g)
+        gpu_arenas_.emplace_back();
 
     remote_read_ops_.reserve(cfg_.num_gpus);
     cpu_read_ops_.reserve(cfg_.num_gpus);

@@ -210,13 +210,10 @@ class MultiGpuSystem : public SystemFabric
     std::optional<GpuVi> vi_;
 
     /**
-     * Host placement: one arena backing the system-domain op pools
-     * plus one arena per GPU node for its request pools (and its
-     * fabric op pools), all bound to the constructing thread's NUMA
-     * node when CARVE_NUMA is enabled. Declared before gpus_ so every
-     * pool they back drains before the memory goes away.
+     * One arena per GPU node, backing its request pools and its
+     * fabric op pools. Declared before gpus_ so every pool they back
+     * drains before the memory goes away.
      */
-    Arena sys_arena_;
     std::vector<Arena> gpu_arenas_;
     /** Per-source-GPU in-flight op pools: allocated and freed only in
      * the source domain; the home/system side reads records that were

@@ -163,8 +163,7 @@ resultToJson(const RunResult &r)
     stats.set("shared_line_footprint", s.shared_line_footprint);
     stats.set("total_page_footprint", s.total_page_footprint);
     o.set("stats", std::move(stats));
-    // v2: the whole flattened registry, after the v1 summary block so
-    // v1-era readers that index fields positionally keep working.
+    // The whole flattened registry, after the summary block.
     if (!s.stat_tree.empty())
         o.set("stat_tree", statTreeToJson(s.stat_tree));
     return o;
@@ -272,12 +271,9 @@ readResultsFile(const std::string &path)
     std::ostringstream ss;
     ss << is.rdbuf();
     json::Value doc = json::parse(ss.str(), path);
-    // v1 files (no stat trees) remain readable; comparison simply
-    // has no per-stat annotations for them. A missing or non-string
-    // schema is a mismatch like any other.
+    // A missing or non-string schema is a mismatch like any other.
     const json::Value &schema = doc.at("schema");
-    if (!schema.isString() || (schema.asString() != kResultsSchema &&
-                               schema.asString() != kResultsSchemaV1)) {
+    if (!schema.isString() || schema.asString() != kResultsSchema) {
         fatal("'%s' is not a %s file (member 'schema' differs)",
               path.c_str(), kResultsSchema);
     }
@@ -366,7 +362,7 @@ compareResults(const std::vector<RunResult> &baseline,
             add(std::move(d));
         }
 
-        // Name the individual stats that moved (v2 files only).
+        // Name the individual stats that moved (runs with trees).
         // Informational: the gate stays on cycles/ipc/status, but a
         // failure now says *which* counters shifted underneath.
         if (base.sim.stat_tree.empty() || c.sim.stat_tree.empty())

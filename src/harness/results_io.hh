@@ -3,9 +3,9 @@
  * Results-file serialisation and the regression gate.
  *
  * A results file ("carve-sweep-results/v2") holds sweep metadata plus
- * one record per run with the v1 summary statistics top-level and the
- * full flattened stat tree ("stat_tree") alongside. v1 files (no stat
- * tree) still parse. The file is a pure function of (specs, simulator
+ * one record per run with the summary statistics top-level and the
+ * full flattened stat tree ("stat_tree") alongside; a failed run has
+ * neither. The file is a pure function of (specs, simulator
  * version): no timestamps, wall times, or thread counts — so the same
  * sweep produces byte-identical bytes at any parallelism, and two
  * files diff meaningfully.
@@ -35,10 +35,6 @@ namespace harness {
 /** Schema identifier written into every results file. */
 inline constexpr const char *kResultsSchema =
     "carve-sweep-results/v2";
-
-/** Previous schema, still accepted on read (no stat trees). */
-inline constexpr const char *kResultsSchemaV1 =
-    "carve-sweep-results/v1";
 
 /** Sweep-wide metadata recorded alongside the runs. */
 struct SweepMeta

@@ -1,5 +1,6 @@
 #include "harness/run_spec.hh"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/logging.hh"
@@ -100,6 +101,38 @@ parsePresetName(const std::string &name)
     }
     fatal("unknown preset '%s' (valid: %s)", name.c_str(),
           valid.c_str());
+}
+
+void
+checkPresetOverrides(const std::vector<Preset> &presets,
+                     const SystemConfig &base,
+                     const std::vector<std::string> &overrides)
+{
+    // Keys match case-insensitively, as in applyOverride().
+    std::vector<std::string> keys;
+    for (const std::string &ov : overrides) {
+        std::string &key = keys.emplace_back(ov.substr(0, ov.find('=')));
+        for (char &c : key)
+            c = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+    }
+    // toOverrides() walks one registry, so entry i names the same key
+    // in both lists.
+    const std::vector<ConfigOverride> asked = base.toOverrides();
+    for (const Preset p : presets) {
+        const std::vector<ConfigOverride> set =
+            makePreset(p, base).toOverrides();
+        for (std::size_t i = 0; i < asked.size(); ++i) {
+            const std::string &key = asked[i].key;
+            if (asked[i].value != set[i].value &&
+                std::find(keys.begin(), keys.end(), key) != keys.end()) {
+                fatal("--set %s=%s conflicts with preset %s, which sets "
+                      "%s=%s",
+                      key.c_str(), asked[i].value.c_str(), presetName(p),
+                      key.c_str(), set[i].value.c_str());
+            }
+        }
+    }
 }
 
 std::vector<RunSpec>

@@ -87,6 +87,17 @@ Preset parsePresetName(const std::string &name);
 std::vector<Preset> allPresets();
 
 /**
+ * fatal() when a preset would replace a value the user asked for: for
+ * each "key=value" in @p overrides (the --set list that built
+ * @p base), makePreset(p, base) must keep the key's value in @p base
+ * for every p in @p presets. The error names the key, the value asked
+ * for, the preset and the value the preset sets.
+ */
+void checkPresetOverrides(const std::vector<Preset> &presets,
+                          const SystemConfig &base,
+                          const std::vector<std::string> &overrides);
+
+/**
  * Expand the cross product presets x workloads x seeds into specs in
  * deterministic order (preset-major, then workload, then seed), all
  * sharing @p base and @p opts with per-spec seed applied.

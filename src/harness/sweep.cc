@@ -135,10 +135,10 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &opt)
         for (std::size_t i = 0; i < specs.size(); ++i)
             run_one(i);
         if (opt.telemetry) {
-            // Inline execution: one synthetic "worker" (the calling
-            // thread, which never NUMA-binds itself).
+            // Inline execution: one synthetic "worker", the calling
+            // thread.
             opt.telemetry->workers.assign(
-                1, SweepTelemetry::Worker{specs.size(), -1});
+                1, SweepTelemetry::Worker{specs.size()});
         }
     } else {
         // The pool is owned here so the per-worker WorkerState
@@ -153,8 +153,8 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &opt)
         if (opt.telemetry) {
             opt.telemetry->workers.resize(pool.size());
             for (unsigned w = 0; w < pool.size(); ++w) {
-                opt.telemetry->workers[w] = SweepTelemetry::Worker{
-                    pool.jobsRun(w), pool.workerNode(w)};
+                opt.telemetry->workers[w] =
+                    SweepTelemetry::Worker{pool.jobsRun(w)};
             }
         }
     }

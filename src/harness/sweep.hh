@@ -39,7 +39,6 @@ struct SweepTelemetry
     struct Worker
     {
         std::uint64_t jobs_run = 0;  ///< runs executed by this worker
-        int numa_node = -1;          ///< host node bound to, or -1
     };
     std::vector<Worker> workers;
     /** Wall time per run, in microseconds. */

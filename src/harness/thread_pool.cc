@@ -6,8 +6,6 @@
 #include <pthread.h>
 #endif
 
-#include "common/hostnuma.hh"
-
 namespace carve {
 namespace harness {
 
@@ -70,16 +68,6 @@ void
 ThreadPool::workerLoop(std::stop_token st, unsigned index)
 {
     WorkerState &me = state_[index];
-    // Spread workers round-robin over host NUMA nodes so each one's
-    // simulation allocates from (and runs near) its own node. A
-    // CARVE_NUMA=OFF build or a non-NUMA host leaves numa_node at -1.
-    if (hostnuma::available()) {
-        const int node =
-            static_cast<int>(index) % hostnuma::nodeCount();
-        if (hostnuma::bindThreadToNode(node))
-            me.numa_node = node;
-    }
-
     while (true) {
         Job job;
         {

@@ -40,7 +40,6 @@ namespace harness {
 struct alignas(std::hardware_destructive_interference_size) WorkerState
 {
     std::uint64_t jobs_run = 0;    ///< jobs completed by this worker
-    int numa_node = -1;            ///< host node bound to, or -1
 };
 
 static_assert(sizeof(WorkerState) ==
@@ -94,13 +93,6 @@ class ThreadPool
     jobsRun(unsigned i) const
     {
         return state_[i].jobs_run;
-    }
-
-    /** Host NUMA node worker @p i bound itself to, or -1. */
-    int
-    workerNode(unsigned i) const
-    {
-        return state_[i].numa_node;
     }
 
   private:

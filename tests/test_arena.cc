@@ -2,10 +2,9 @@
  * @file
  * Unit tests for the chunked Arena / Pool<T> allocator family
  * (src/common/arena.hh): alignment guarantees, chunk growth,
- * handle/pointer stability across growth, move semantics, and the
- * hostnuma fallback contract. The use-after-free poisoning
- * path is exercised under the ASan/UBSan CI job, where a recycled
- * handle dereference traps in the sanitizer.
+ * handle/pointer stability across growth and move semantics. The
+ * use-after-free poisoning path is exercised under the ASan/UBSan CI
+ * job, where a recycled handle dereference traps in the sanitizer.
  */
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/arena.hh"
-#include "common/hostnuma.hh"
 
 namespace carve {
 namespace {
@@ -112,19 +110,6 @@ TEST(Arena, MoveTransfersOwnership)
     // The allocation survives the move (chunks are not copied).
     EXPECT_EQ(p[0], 0x5a);
     EXPECT_EQ(p[15], 0x5a);
-}
-
-TEST(Arena, UnknownNumaNodeFallsBackToHeap)
-{
-    // Node requests must degrade to plain heap slabs when libnuma (or
-    // the node) is unavailable — behaviour identical either way.
-    Arena arena(1024, /*numa_node=*/0);
-    void *p = arena.allocate(128, 16);
-    ASSERT_NE(p, nullptr);
-    std::memset(p, 0xee, 128);
-    if (!hostnuma::available()) {
-        EXPECT_EQ(arena.numaNode(), 0);  // recorded, even if inert
-    }
 }
 
 struct Record

@@ -1,7 +1,8 @@
 /** @file Tests for the experiment harness: JSON model, parallel
  * sweep determinism, per-run failure isolation, watchdog surfacing,
- * the baseline regression gate, results-file provenance and clean
- * exits on malformed results files. */
+ * the baseline regression gate, results-file provenance, clean
+ * exits on malformed results files, the --set/preset conflict check
+ * and the sweep's per-worker telemetry. */
 
 #include <gtest/gtest.h>
 
@@ -197,6 +198,45 @@ TEST_F(HarnessTest, PresetNameParsing)
     EXPECT_THROW(parsePresetName("nonsense"), SimAbortError);
 }
 
+TEST_F(HarnessTest, SetKeyAPresetChangesFails)
+{
+    ScopedErrorCapture capture;
+    SystemConfig swc = miniConfig();
+    swc.applyOverride("rdc.coherence", "software");
+    try {
+        checkPresetOverrides({Preset::NumaGpu, Preset::CarveHwc}, swc,
+                             {"rdc.coherence=software"});
+        ADD_FAILURE() << "a --set the preset overwrites passed";
+    } catch (const SimAbortError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("rdc.coherence=software"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("CARVE-HWC"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::string("rdc.coherence=") +
+                           rdcCoherenceName(RdcCoherence::HardwareVI)),
+                  std::string::npos)
+            << msg;
+    }
+
+    // Keys are case-insensitive, as in applyOverride().
+    SystemConfig rdc_on = miniConfig();
+    rdc_on.applyOverride("RDC.Enabled", "true");
+    EXPECT_THROW(checkPresetOverrides({Preset::NumaGpu}, rdc_on,
+                                      {"RDC.Enabled=true"}),
+                 SimAbortError);
+
+    // A key no preset sets passes under every preset.
+    SystemConfig fast = miniConfig();
+    fast.applyOverride("link.latency", "10");
+    EXPECT_NO_THROW(
+        checkPresetOverrides(allPresets(), fast, {"link.latency=10"}));
+
+    // A preset key set to the preset's own value passes.
+    EXPECT_NO_THROW(checkPresetOverrides(
+        {Preset::CarveNoCoherence, Preset::CarveSwc, Preset::CarveHwc},
+        rdc_on, {"RDC.Enabled=true"}));
+}
+
 // ---- sweep determinism (satellite a) -------------------------------
 
 TEST_F(HarnessTest, SerialAndParallelSweepsProduceIdenticalJson)
@@ -264,6 +304,40 @@ TEST_F(HarnessTest, WatchdogTripIsSurfacedNotFatal)
     EXPECT_EQ(r.status, RunStatus::Watchdog);
     EXPECT_TRUE(r.sim.watchdog_tripped);
     EXPECT_FALSE(r.error.empty());
+}
+
+// ---- harness telemetry ---------------------------------------------
+
+std::vector<RunSpec>
+threeSpecs()
+{
+    return {miniSpec(Preset::NumaGpu, "wl", 1),
+            miniSpec(Preset::NumaGpu, "wl", 7),
+            miniSpec(Preset::CarveHwc, "wl", 1)};
+}
+
+TEST_F(HarnessTest, PooledSweepTelemetryCountsEveryJobOnce)
+{
+    SweepTelemetry t;
+    SweepOptions opt;
+    opt.threads = 2;
+    opt.telemetry = &t;
+    runSweep(threeSpecs(), opt);
+    ASSERT_EQ(t.workers.size(), 2u);
+    EXPECT_EQ(t.workers[0].jobs_run + t.workers[1].jobs_run, 3u);
+    EXPECT_EQ(t.job_wall_us.count(), 3u);
+}
+
+TEST_F(HarnessTest, InlineSweepTelemetryIsOneWorker)
+{
+    SweepTelemetry t;
+    SweepOptions opt;
+    opt.threads = 1;
+    opt.telemetry = &t;
+    runSweep(threeSpecs(), opt);
+    ASSERT_EQ(t.workers.size(), 1u);
+    EXPECT_EQ(t.workers[0].jobs_run, 3u);
+    EXPECT_EQ(t.job_wall_us.count(), 3u);
 }
 
 // ---- baseline compare (satellite c) --------------------------------
@@ -537,30 +611,30 @@ TEST_F(HarnessTest, MissingAndTruncatedResultsFilesFailGracefully)
                  SimAbortError);
 }
 
-TEST_F(HarnessTest, V1FilesWithoutStatTreesStillParse)
+TEST_F(HarnessTest, FailedRunWithoutStatTreeParses)
 {
-    RunSpec spec = miniSpec(Preset::NumaGpu, "v1");
-    RunResult r = executeRun(spec);
-    ASSERT_EQ(r.status, RunStatus::Ok);
-    r.sim.stat_tree.clear();  // what a v1 writer would have produced
+    // A failed run's record has neither a summary nor a stat tree; it
+    // must still read back next to a full record.
+    RunSpec bad = miniSpec(Preset::CarveHwc, "bad");
+    bad.base.line_size = 100;  // not a power of two -> validate() fatals
+    const std::vector<RunResult> runs = {
+        executeRun(miniSpec(Preset::NumaGpu, "good")), executeRun(bad)};
+    ASSERT_EQ(runs[0].status, RunStatus::Ok);
+    ASSERT_EQ(runs[1].status, RunStatus::Failed);
 
     SweepMeta meta;
     meta.git_version = "test";
-    std::string text = sweepToJson(meta, {r}).dump();
-    const std::size_t at = text.find(kResultsSchema);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::string(kResultsSchema).size(),
-                 kResultsSchemaV1);
-
-    const std::string path = ::testing::TempDir() + "v1-results.json";
-    {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os << text;
-    }
+    const std::string path =
+        ::testing::TempDir() + "failed-run-results.json";
+    writeResultsFile(path, sweepToJson(meta, runs));
     const auto back = resultsFromJson(readResultsFile(path));
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].sim.cycles, r.sim.cycles);
-    EXPECT_TRUE(back[0].sim.stat_tree.empty());
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back[0].sim.stat_tree.size(),
+              runs[0].sim.stat_tree.size());
+    EXPECT_EQ(back[1].status, RunStatus::Failed);
+    EXPECT_EQ(back[1].error, runs[1].error);
+    EXPECT_TRUE(back[1].sim.stat_tree.empty());
+    EXPECT_EQ(back[1].sim.cycles, 0u);
 }
 
 // ---- record codec on real records ----------------------------------
@@ -671,6 +745,16 @@ TEST_F(HarnessTest, ResultsFileWithNumericSchemaExitsCleanly)
     const std::string path =
         ::testing::TempDir() + "numeric-schema-results.json";
     writeFile(path, "{\"schema\": 2, \"runs\": []}");
+    EXPECT_EXIT(readResultsFile(path), ::testing::ExitedWithCode(1),
+                "member 'schema'");
+}
+
+TEST_F(HarnessTest, ResultsFileWithV1SchemaExitsCleanly)
+{
+    const std::string path =
+        ::testing::TempDir() + "v1-schema-results.json";
+    writeFile(path,
+              "{\"schema\": \"carve-sweep-results/v1\", \"runs\": []}");
     EXPECT_EXIT(readResultsFile(path), ::testing::ExitedWithCode(1),
                 "member 'schema'");
 }

@@ -95,7 +95,9 @@ usage()
         "  --scale N                 capacity divisor (default 8)\n"
         "  --duration X              trace-length multiplier\n"
         "                            (default 0.2)\n"
-        "  --set key=value           config override (repeatable)\n"
+        "  --set key=value           config override (repeatable); a\n"
+        "                            preset that sets the key to\n"
+        "                            another value is an error\n"
         "  --profile-lines           line-granularity sharing stats\n"
         "\n"
         "auditing:\n"
@@ -478,8 +480,6 @@ harnessJson(const SweepTelemetry &t)
             "worker." + std::to_string(w) + ".";
         m.emplace_back(prefix + "jobs_run",
                        json::Value{t.workers[w].jobs_run});
-        m.emplace_back(prefix + "numa_node",
-                       json::Value{t.workers[w].numa_node});
     }
     const telemetry::Histogram &h = t.job_wall_us;
     m.emplace_back("job_wall_us.count", json::Value{h.count()});
@@ -665,6 +665,7 @@ main(int argc, char **argv)
             fatal("--set: expected key=value, got '%s'", ov.c_str());
         base.applyOverride(ov.substr(0, eq), ov.substr(eq + 1));
     }
+    checkPresetOverrides(presets, base, cli.overrides);
 
     RunOptions opts;
     opts.max_cycles = cli.max_cycles;
