@@ -1,7 +1,5 @@
 #include "cache/mshr.hh"
 
-#include <bit>
-
 #include "common/logging.hh"
 
 namespace carve {
@@ -11,93 +9,44 @@ MshrFile::MshrFile(unsigned num_entries, Arena *arena, EventQueue *eq)
 {
     if (num_entries == 0)
         fatal("MshrFile: need at least one entry");
-    const std::uint32_t table = std::bit_ceil(
-        std::max<std::uint32_t>(16, num_entries * 2));
-    mask_ = table - 1;
-    slot_addr_.assign(table, kEmpty);
-    head_.assign(table, npos);
-    tail_.assign(table, npos);
-    born_.assign(table, 0);
-}
-
-std::uint32_t
-MshrFile::insertSlot(Addr a)
-{
-    std::uint32_t i = homeSlot(a);
-    while (slot_addr_[i] != kEmpty)
-        i = (i + 1) & mask_;
-    slot_addr_[i] = a;
-    return i;
-}
-
-void
-MshrFile::eraseSlot(std::uint32_t i)
-{
-    // Backward-shift deletion: walk the probe chain after the hole
-    // and pull back any entry whose home slot does not lie strictly
-    // between the hole and its current position.
-    std::uint32_t j = i;
-    for (;;) {
-        slot_addr_[i] = kEmpty;
-        for (;;) {
-            j = (j + 1) & mask_;
-            if (slot_addr_[j] == kEmpty)
-                return;
-            const std::uint32_t k = homeSlot(slot_addr_[j]);
-            const bool stays = i <= j ? (i < k && k <= j)
-                                      : (i < k || k <= j);
-            if (!stays)
-                break;
-        }
-        slot_addr_[i] = slot_addr_[j];
-        head_[i] = head_[j];
-        tail_[i] = tail_[j];
-        born_[i] = born_[j];
-        i = j;
-    }
+    // A full file then sits at half load, so probes stay short.
+    entries_.reserve(2 * std::size_t{num_entries});
 }
 
 MshrOutcome
 MshrFile::allocate(Addr line_addr, Callback cb)
 {
-    const std::uint32_t found = findSlot(line_addr);
-    if (found != npos) {
+    if (Entry *e = entries_.find(line_addr)) {
         const std::uint32_t w = waiters_.alloc({cb, npos});
-        waiters_[tail_[found]].next = w;
-        tail_[found] = w;
+        waiters_[e->tail].next = w;
+        e->tail = w;
         ++merges_;
         return MshrOutcome::Merged;
     }
-    if (live_ >= capacity_) {
+    if (full()) {
         ++rejections_;
         return MshrOutcome::Full;
     }
-    const std::uint32_t i = insertSlot(line_addr);
     const std::uint32_t w = waiters_.alloc({cb, npos});
-    head_[i] = tail_[i] = w;
-    if (lifetime_.on())
-        born_[i] = eq_->now();
-    ++live_;
+    entries_.insert({line_addr, w, w, lifetime_.on() ? eq_->now() : 0});
     return MshrOutcome::NewEntry;
 }
 
 std::size_t
 MshrFile::complete(Addr line_addr)
 {
-    const std::uint32_t i = findSlot(line_addr);
-    if (i == npos)
+    Entry *e = entries_.find(line_addr);
+    if (e == nullptr)
         panic("MshrFile: completing untracked line %llx",
               static_cast<unsigned long long>(line_addr));
 
     if (lifetime_.on())
-        lifetime_.span(born_[i], eq_->now(), line_addr);
+        lifetime_.span(e->born, eq_->now(), line_addr);
 
     // Detach the entry before firing: callbacks may allocate new
     // entries (even for this same line).
-    std::uint32_t w = head_[i];
-    head_[i] = tail_[i] = npos;
-    eraseSlot(i);
-    --live_;
+    std::uint32_t w = e->head;
+    entries_.erase(e);
 
     std::size_t fired = 0;
     while (w != npos) {
@@ -157,7 +106,7 @@ MshrFile::drainWaiters()
     // O(parked) work per completion and measurably tanks saturated
     // runs. Leftover waiters keep their FIFO order; the next
     // complete() schedules another drain.
-    while (wake_head_ != npos && live_ < capacity_) {
+    while (wake_head_ != npos && !full()) {
         const std::uint32_t w = wake_head_;
         const Waiter wt = waiters_[w];
         waiters_.free(w);

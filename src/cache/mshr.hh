@@ -3,14 +3,12 @@
  * Miss Status Holding Registers: merge concurrent misses to the same
  * line and bound the number of distinct outstanding lines.
  *
- * Layout is structure-of-arrays: an open-addressed, linear-probe
- * table of line addresses with parallel head/tail/born arrays, plus
- * a Pool of index-linked waiter records. The table is sized to <=50%
- * load at the configured capacity so probes stay short, and deletion
- * uses backward shifting, so there are no tombstones and no
- * rehashing — outstanding() and allocate() touch one or two cache
- * lines. Waiters fire in registration order, exactly as the previous
- * node-based implementation did.
+ * Layout: a FlatTable of 24-byte entries (line address, first and
+ * last waiter, allocate stamp), plus a Pool of index-linked waiter
+ * records. The table is sized at construction to <=50% load at the
+ * configured capacity, so it never grows and probes stay short:
+ * outstanding() and allocate() touch one or two cache lines. Waiters
+ * fire in registration order.
  *
  * Requests that find the file full do not poll: they park() once on
  * an intrusive FIFO wake-list, and complete() drains the list through
@@ -28,12 +26,13 @@
 #define CARVE_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/arena.hh"
 #include "common/completion.hh"
 #include "common/event_queue.hh"
+#include "common/flat_table.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "trace/probe.hh"
@@ -93,13 +92,13 @@ class MshrFile
     bool
     outstanding(Addr line_addr) const
     {
-        return findSlot(line_addr) != npos;
+        return entries_.find(line_addr) != nullptr;
     }
 
     /** Distinct lines currently in flight. */
-    std::size_t size() const { return live_; }
+    std::size_t size() const { return entries_.size(); }
     /** True when no further distinct line can be tracked. */
-    bool full() const { return live_ >= capacity_; }
+    bool full() const { return entries_.size() >= capacity_; }
     unsigned capacity() const { return capacity_; }
 
     /** Total misses merged behind an existing entry. */
@@ -139,9 +138,6 @@ class MshrFile
     const trace::Probe &parkProbe() const { return park_; }
 
   private:
-    /** Sentinel for an empty table slot; line addresses are aligned
-     * so all-ones can never be a tracked line. */
-    static constexpr Addr kEmpty = ~Addr{0};
     static constexpr std::uint32_t npos = 0xffffffffu;
 
     struct Waiter
@@ -150,29 +146,24 @@ class MshrFile
         std::uint32_t next;
     };
 
-    std::uint32_t
-    homeSlot(Addr a) const
+    /** One line in flight. */
+    struct Entry
     {
-        return static_cast<std::uint32_t>(
-                   (a * 0x9e3779b97f4a7c15ULL) >> 32) &
-            mask_;
-    }
+        Addr line;           ///< free_line: an unused slot
+        std::uint32_t head;  ///< first waiter
+        std::uint32_t tail;  ///< last waiter
+        Cycle born;          ///< allocate stamp (lifetime_ only)
+    };
 
-    /** Linear probe; inline because the miss path calls it tens of
-     * millions of times per run. */
-    std::uint32_t
-    findSlot(Addr a) const
+    struct EntryKey
     {
-        for (std::uint32_t i = homeSlot(a);; i = (i + 1) & mask_) {
-            if (slot_addr_[i] == a)
-                return i;
-            if (slot_addr_[i] == kEmpty)
-                return npos;
-        }
-    }
+        /** Line addresses are aligned, so all-ones is never one. */
+        static constexpr Addr free_line = ~Addr{0};
+        static constexpr Entry free_slot{free_line, npos, npos, 0};
+        static bool isFree(const Entry &e) { return e.line == free_line; }
+        std::uint64_t key(const Entry &e) const { return e.line; }
+    };
 
-    std::uint32_t insertSlot(Addr a);
-    void eraseSlot(std::uint32_t i);
     /** Fire parked retries in FIFO order while a register is free
      *  (event context). */
     void drainWaiters();
@@ -181,12 +172,7 @@ class MshrFile
     void maybeScheduleDrain();
 
     unsigned capacity_;
-    std::uint32_t mask_;
-    std::size_t live_ = 0;
-    std::vector<Addr> slot_addr_;        ///< kEmpty == free
-    std::vector<std::uint32_t> head_;    ///< first waiter, or npos
-    std::vector<std::uint32_t> tail_;    ///< last waiter, or npos
-    std::vector<Cycle> born_;            ///< allocate stamp (lifetime_)
+    FlatTable<Entry, EntryKey> entries_;
     Pool<Waiter> waiters_;
 
     EventQueue *eq_;                     ///< drains wake-ups, times probes
@@ -202,7 +188,7 @@ class MshrFile
     trace::Probe lifetime_;              ///< allocate->fill
     trace::Probe park_;                  ///< park->wake
     /** Park stamps, FIFO-parallel to the wake-list (park_ only). */
-    std::deque<Cycle> park_stamps_;
+    Ring<Cycle> park_stamps_;
 };
 
 } // namespace carve

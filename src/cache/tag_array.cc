@@ -8,24 +8,20 @@ namespace carve {
 TagArray::TagArray(std::uint64_t size, unsigned ways,
                    std::uint64_t line_size, ReplPolicy policy,
                    std::uint64_t seed)
-    : ways_(ways), line_size_(line_size), replacer_(policy, seed)
+    : ways_(ways), line_size_(line_size), line_div_(line_size),
+      replacer_(policy, seed)
 {
     if (ways == 0 || line_size == 0 || size == 0)
         fatal("TagArray: degenerate geometry");
     if (size % (static_cast<std::uint64_t>(ways) * line_size) != 0)
         fatal("TagArray: size not divisible by ways*line_size");
     sets_ = size / (static_cast<std::uint64_t>(ways) * line_size);
+    set_div_ = Divisor(sets_);
     tags_.assign(sets_ * ways_, kFreeTag);
     flags_.assign(sets_ * ways_, 0);
     last_use_.assign(sets_ * ways_, 0);
     valid_scratch_.resize(ways_);
     use_scratch_.resize(ways_);
-}
-
-std::uint64_t
-TagArray::setIndex(Addr addr) const
-{
-    return (addr / line_size_) % sets_;
 }
 
 TagArray::LineIdx

@@ -22,6 +22,7 @@
 
 #include "cache/replacement.hh"
 #include "common/types.hh"
+#include "common/units.hh"
 
 namespace carve {
 
@@ -126,13 +127,19 @@ class TagArray
      * all-ones never matches a probe. */
     static constexpr Addr kFreeTag = ~Addr{0};
 
-    std::uint64_t setIndex(Addr addr) const;
+    std::uint64_t
+    setIndex(Addr addr) const
+    {
+        return set_div_.mod(line_div_.div(addr));
+    }
     std::size_t wayBase(std::uint64_t set) const { return set * ways_; }
     void dropLine(std::uint64_t i);
 
     std::uint64_t sets_;
     unsigned ways_;
     std::uint64_t line_size_;
+    Divisor line_div_;
+    Divisor set_div_;
     Replacer replacer_;
 
     std::vector<Addr> tags_;           ///< kFreeTag == invalid slot

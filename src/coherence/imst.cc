@@ -1,5 +1,7 @@
 #include "coherence/imst.hh"
 
+#include "common/logging.hh"
+
 namespace carve {
 
 const char *
@@ -23,53 +25,53 @@ Imst::Imst(NodeId home, double demote_probability, std::uint64_t seed)
 SharingState
 Imst::state(Addr line_addr) const
 {
-    const auto it = states_.find(line_addr);
-    return it == states_.end() ? SharingState::Uncached
-                               : it->second.state;
+    const LineState *ls = states_.find(line_addr);
+    return ls == nullptr ? SharingState::Uncached : stateOf(*ls);
 }
 
 NodeId
 Imst::owner(Addr line_addr) const
 {
-    const auto it = states_.find(line_addr);
-    if (it == states_.end() ||
-        it->second.state != SharingState::Private) {
+    const LineState *ls = states_.find(line_addr);
+    if (ls == nullptr || stateOf(*ls) != SharingState::Private)
         return invalid_node;
-    }
-    return it->second.owner;
+    return ownerOf(*ls);
 }
 
 SharingState
 Imst::onAccess(Addr line_addr, NodeId requester, AccessType type,
                bool &needs_invalidate)
 {
+    carve_assert(line_addr <= line_mask && requester < owner_mask);
     needs_invalidate = false;
     const bool write = isWrite(type);
-    LineState &ls = states_[line_addr];
+    LineState *ls = states_.find(line_addr);
+    SharingState state =
+        ls == nullptr ? SharingState::Uncached : stateOf(*ls);
+    NodeId owner = ls == nullptr ? invalid_node : ownerOf(*ls);
 
-    switch (ls.state) {
+    switch (state) {
       case SharingState::Uncached:
-        ls.state = SharingState::Private;
-        ls.owner = requester;
+        state = SharingState::Private;
+        owner = requester;
         break;
 
       case SharingState::Private:
-        if (requester != ls.owner) {
+        if (requester != owner) {
             if (write) {
                 // The old owner may cache a stale copy: invalidate.
                 needs_invalidate = true;
-                ls.state = SharingState::ReadWriteShared;
+                state = SharingState::ReadWriteShared;
             } else {
-                ls.state = SharingState::ReadShared;
+                state = SharingState::ReadShared;
             }
-            ls.owner = invalid_node;
         }
         break;
 
       case SharingState::ReadShared:
         if (write) {
             needs_invalidate = true;
-            ls.state = SharingState::ReadWriteShared;
+            state = SharingState::ReadWriteShared;
         }
         break;
 
@@ -84,8 +86,8 @@ Imst::onAccess(Addr line_addr, NodeId requester, AccessType type,
     // broadcast) so lines whose sharing phase ended stop paying
     // broadcast costs.
     if (write && needs_invalidate && rng_.chance(demote_probability_)) {
-        ls.state = SharingState::Private;
-        ls.owner = requester;
+        state = SharingState::Private;
+        owner = requester;
         ++demotions_;
     }
 
@@ -96,7 +98,16 @@ Imst::onAccess(Addr line_addr, NodeId requester, AccessType type,
             ++filtered_writes_;
     }
 
-    return ls.state;
+    const std::uint64_t owner_bits =
+        state == SharingState::Private ? owner : 0;
+    const LineState next{line_addr | owner_bits << owner_shift |
+                         static_cast<std::uint64_t>(state)
+                             << state_shift};
+    if (ls != nullptr)
+        *ls = next;
+    else
+        states_.insert(next);
+    return state;
 }
 
 } // namespace carve

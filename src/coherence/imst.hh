@@ -14,14 +14,18 @@
  * page-granularity sharing is false. Lines can stick in shared states
  * forever, so writes probabilistically demote to Private (after
  * broadcasting invalidates) to re-learn the sharing pattern.
+ *
+ * Storage is a FlatTable of 8-byte words, one per line ever accessed:
+ * the line address with the 2-bit state and the Private owner packed
+ * into its top byte, as the hardware packs them beside the tag.
  */
 
 #ifndef CARVE_COHERENCE_IMST_HH
 #define CARVE_COHERENCE_IMST_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_table.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -42,7 +46,8 @@ const char *sharingStateName(SharingState s);
 /**
  * Sharing tracker for lines homed at one node. Storage is sparse:
  * untouched lines are implicitly Uncached (their ECC metadata would be
- * zero-initialized).
+ * zero-initialized). Line addresses must be below 2^56 and requesters
+ * below 63.
  */
 class Imst
 {
@@ -102,16 +107,53 @@ class Imst
     }
 
   private:
+    /** One tracked line: bits 0-55 the line address, 56-61 the owner
+     * (meaningful only when Private), 62-63 the SharingState. */
     struct LineState
     {
-        SharingState state = SharingState::Uncached;
-        NodeId owner = invalid_node;  ///< valid only when Private
+        std::uint64_t word;
     };
+
+    static constexpr unsigned owner_shift = 56;
+    static constexpr unsigned state_shift = 62;
+    static constexpr std::uint64_t line_mask =
+        (std::uint64_t{1} << owner_shift) - 1;
+    /** The 6-bit owner field. Requesters must be below it: an owner
+     * of all ones is never stored, so no tracked line packs to the
+     * free word. */
+    static constexpr NodeId owner_mask = 63;
+
+    struct LineKey
+    {
+        static constexpr LineState free_slot{~std::uint64_t{0}};
+        static bool
+        isFree(const LineState &s)
+        {
+            return s.word == free_slot.word;
+        }
+        std::uint64_t key(const LineState &s) const
+        {
+            return s.word & line_mask;
+        }
+    };
+
+    static SharingState
+    stateOf(LineState s)
+    {
+        return static_cast<SharingState>(s.word >> state_shift);
+    }
+
+    static NodeId
+    ownerOf(LineState s)
+    {
+        return static_cast<NodeId>((s.word >> owner_shift) &
+                                   owner_mask);
+    }
 
     NodeId home_;
     double demote_probability_;
     Rng rng_;
-    std::unordered_map<Addr, LineState> states_;
+    FlatTable<LineState, LineKey> states_;
 
     stats::Scalar shared_writes_;    ///< writes that required a broadcast
     stats::Scalar filtered_writes_;  ///< filtered as private/uncached

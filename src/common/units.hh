@@ -48,6 +48,42 @@ floorLog2(std::uint64_t v)
     return l;
 }
 
+/**
+ * Exact unsigned division and remainder by a divisor fixed at
+ * construction: a shift and a mask when it is a power of two (every
+ * default geometry), a hardware division otherwise. Set and channel
+ * indexing run once per access, where a 64-bit division costs tens of
+ * cycles.
+ */
+class Divisor
+{
+  public:
+    /** @param d the divisor; must be nonzero */
+    explicit constexpr Divisor(std::uint64_t d = 1)
+        : d_(d), pow2_(isPowerOf2(d)), shift_(floorLog2(d))
+    {
+    }
+
+    constexpr std::uint64_t
+    div(std::uint64_t x) const
+    {
+        return pow2_ ? x >> shift_ : x / d_;
+    }
+
+    constexpr std::uint64_t
+    mod(std::uint64_t x) const
+    {
+        return pow2_ ? x & (d_ - 1) : x % d_;
+    }
+
+    constexpr std::uint64_t value() const { return d_; }
+
+  private:
+    std::uint64_t d_;
+    bool pow2_;
+    unsigned shift_;
+};
+
 /** Align @p a down to a multiple of power-of-two @p align. */
 inline constexpr Addr
 alignDown(Addr a, std::uint64_t align)

@@ -7,9 +7,11 @@
  * access returns both; the structure here tracks tag/epoch/valid/dirty
  * state while the owning RdcController charges the DRAM timing.
  *
- * The tag store is sparse (hash map keyed by set) so multi-GB
- * carve-outs cost memory proportional to the *touched* footprint, not
- * the configured capacity.
+ * The tag store is sparse, so a multi-GB carve-out costs memory in
+ * proportion to the sets it has *touched*, not to its capacity: a
+ * FlatTable keyed by set index whose 16-byte slots hold the tag, the
+ * epoch, the home node and the valid and dirty bits. The set index is
+ * derived from the stored tag, so a slot needs no separate key.
  */
 
 #ifndef CARVE_DRAMCACHE_ALLOY_CACHE_HH
@@ -17,10 +19,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
+#include "common/flat_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/units.hh"
 
 namespace carve {
 
@@ -103,7 +106,7 @@ class AlloyCache
     std::uint64_t
     setIndex(Addr line_addr) const
     {
-        return (line_addr / line_size_) % sets_;
+        return sets_map_.traits().setOf(line_addr);
     }
 
     /**
@@ -160,24 +163,45 @@ class AlloyCache
     /** One direct-mapped set's tag state. */
     struct SetEntry
     {
-        Addr tag;             ///< full line address
+        Addr tag;             ///< full line address (free_tag: unused)
         std::uint32_t epoch;
-        NodeId home;          ///< the line's home node
+        std::uint16_t home;   ///< the line's home node
         bool valid;
         bool dirty;
     };
+    static_assert(sizeof(SetEntry) == 16, "one RDC set in 16 bytes");
+
+    /** A set's slot key: its index, derived from the stored tag. */
+    struct SetKey
+    {
+        static constexpr Addr free_tag = ~Addr{0};
+        static constexpr SetEntry free_slot{free_tag, 0, 0, false, false};
+
+        static bool isFree(const SetEntry &e) { return e.tag == free_tag; }
+        std::uint64_t key(const SetEntry &e) const { return setOf(e.tag); }
+
+        std::uint64_t
+        setOf(Addr line_addr) const
+        {
+            return sets.mod(line.div(line_addr));
+        }
+
+        Divisor line;  ///< line size
+        Divisor sets;  ///< number of sets
+    };
+
+    using SetStore = FlatTable<SetEntry, SetKey>;
 
     /** Sparse tag store keyed by set index (audit walks this). */
-    const std::unordered_map<std::uint64_t, SetEntry> &
-    setsMap() const
-    {
-        return sets_map_;
-    }
+    const SetStore &setsMap() const { return sets_map_; }
 
   private:
+    /** The valid entry holding @p line_addr, or nullptr. */
+    const SetEntry *resident(Addr line_addr) const;
+
     std::uint64_t line_size_;
     std::uint64_t sets_;
-    std::unordered_map<std::uint64_t, SetEntry> sets_map_;
+    SetStore sets_map_;
 
     stats::Scalar probes_;
     stats::Scalar hits_;             ///< tag + epoch matches

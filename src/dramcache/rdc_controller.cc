@@ -287,9 +287,10 @@ RdcController::auditDirtyState(const std::string &prefix,
     std::vector<std::string> fails;
     const std::uint64_t line = cfg_.line_size;
 
-    for (const auto &[set, entry] : alloy_.setsMap()) {
+    alloy_.setsMap().forEach([&](const AlloyCache::SetEntry &entry) {
         if (!entry.valid || !entry.dirty)
-            continue;
+            return;
+        const std::uint64_t set = alloy_.setIndex(entry.tag);
         const Addr offset = set * line;
         if (!dirty_map_.isDirtyLine(offset)) {
             fails.push_back(prefix + ": dirty alloy set " +
@@ -300,20 +301,20 @@ RdcController::auditDirtyState(const std::string &prefix,
                             std::to_string(set) +
                             " home disagrees with the dirty map");
         }
-    }
+    });
 
     for (const auto &[offset, home] : dirty_map_.dirtySets()) {
         (void)home;
-        const auto it = alloy_.setsMap().find(offset / line);
-        if (it == alloy_.setsMap().end() || !it->second.valid ||
-            !it->second.dirty) {
+        const AlloyCache::SetEntry *entry =
+            alloy_.setsMap().find(offset / line);
+        if (entry == nullptr || !entry->valid || !entry->dirty) {
             fails.push_back(prefix + ": dirty map set at offset " +
                             std::to_string(offset) +
                             " has no dirty alloy line");
         }
     }
 
-    // Hash-map walks above are unordered; sort for stable reports.
+    // Both walks above are in hash order; sort for stable reports.
     std::sort(fails.begin(), fails.end());
     out.insert(out.end(), fails.begin(), fails.end());
 }

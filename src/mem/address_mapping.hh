@@ -13,6 +13,7 @@
 #define CARVE_MEM_ADDRESS_MAPPING_HH
 
 #include "common/types.hh"
+#include "common/units.hh"
 
 namespace carve {
 
@@ -49,16 +50,20 @@ class AddressMapping
     /** Decode the coordinates of the line containing @p addr. */
     DramCoord decode(Addr addr) const;
 
-    unsigned channels() const { return channels_; }
+    unsigned
+    channels() const
+    {
+        return static_cast<unsigned>(channels_.value());
+    }
 
     /** Lines that share one row buffer. */
-    std::uint64_t linesPerRow() const { return lines_per_row_; }
+    std::uint64_t linesPerRow() const { return lines_per_row_.value(); }
 
   private:
-    std::uint64_t line_size_;
-    unsigned channels_;
-    unsigned banks_;
-    std::uint64_t lines_per_row_;
+    Divisor line_size_;
+    Divisor channels_;
+    Divisor banks_;
+    Divisor lines_per_row_;
 };
 
 } // namespace carve

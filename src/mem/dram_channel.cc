@@ -50,7 +50,7 @@ DramChannel::rowHitRate() const
 }
 
 std::size_t
-DramChannel::pickFrFcfs(const std::deque<DramRequest> &q) const
+DramChannel::pickFrFcfs(const Ring<DramRequest> &q) const
 {
     // First-ready: oldest row-buffer hit wins; otherwise oldest
     // overall. Real schedulers only examine a window of the queue;
@@ -108,11 +108,11 @@ DramChannel::issueTick()
 }
 
 void
-DramChannel::issue(std::deque<DramRequest> &q, std::size_t idx)
+DramChannel::issue(Ring<DramRequest> &q, std::size_t idx)
 {
     carve_assert(idx < q.size());
     DramRequest req = std::move(q[idx]);
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
+    q.erase(idx);
 
     const bool row_hit = banks_[req.bank].access(req.row);
     const Cycle access_lat =

@@ -8,12 +8,12 @@
 #ifndef CARVE_MEM_DRAM_CHANNEL_HH
 #define CARVE_MEM_DRAM_CHANNEL_HH
 
-#include <deque>
 #include <vector>
 
 #include "common/completion.hh"
 #include "common/config.hh"
 #include "common/event_queue.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/dram_bank.hh"
@@ -107,9 +107,9 @@ class DramChannel
      * Scheduled as a pre-bound event, so the channel's steady-state
      * drain loop allocates nothing. */
     void issueTick();
-    void issue(std::deque<DramRequest> &q, std::size_t idx);
+    void issue(Ring<DramRequest> &q, std::size_t idx);
     /** Index of the best FR-FCFS candidate in @p q, or npos. */
-    std::size_t pickFrFcfs(const std::deque<DramRequest> &q) const;
+    std::size_t pickFrFcfs(const Ring<DramRequest> &q) const;
 
     EventQueue &eq_;
     const DramConfig &cfg_;
@@ -117,8 +117,8 @@ class DramChannel
     Cycle burst_cycles_;
 
     std::vector<DramBank> banks_;
-    std::deque<DramRequest> read_q_;
-    std::deque<DramRequest> write_q_;
+    Ring<DramRequest> read_q_;
+    Ring<DramRequest> write_q_;
     bool draining_writes_ = false;
     bool issue_pending_ = false;
     Cycle bus_free_at_ = 0;

@@ -1,13 +1,14 @@
 /**
  * @file
  * Per-GPU memory controller: address decode, per-channel dispatch with
- * backpressure-tolerant staging, aggregate bandwidth statistics.
+ * backpressure-tolerant staging, aggregate bandwidth statistics. The
+ * staging FIFOs are Rings, so a steady stream of staged requests
+ * allocates nothing once each FIFO has reached its high-water mark.
  */
 
 #ifndef CARVE_MEM_MEMORY_CONTROLLER_HH
 #define CARVE_MEM_MEMORY_CONTROLLER_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "common/completion.hh"
 #include "common/config.hh"
 #include "common/event_queue.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/address_mapping.hh"
@@ -113,7 +115,7 @@ class MemoryController
     AddressMapping mapping_;
     std::uint64_t line_size_;
     std::vector<std::unique_ptr<DramChannel>> channels_;
-    std::vector<std::deque<DramRequest>> staged_;
+    std::vector<Ring<DramRequest>> staged_;
     std::vector<std::unique_ptr<stats::StatGroup>> channel_groups_;
     audit::InflightTracker *audit_ = nullptr;
     Pool<Completion> audit_done_;

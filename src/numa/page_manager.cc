@@ -31,32 +31,27 @@ PageManager::shard()
     return shards_[std::min(engine_ctx::currentShard(), last)];
 }
 
-const PageManager::PendingPage *
-PageManager::pendingOf(const DomainShard &s, Addr vpage) const
-{
-    const auto it = s.pending.find(vpage);
-    return it == s.pending.end() ? nullptr : &it->second;
-}
-
 void
 PageManager::recordAccess(Addr addr, NodeId node, AccessType type,
                           Cycle tick)
 {
     DomainShard &s = shard();
     const Addr vpage = table_.pageOf(addr);
-    const auto [it, inserted] = s.pending.try_emplace(vpage);
-    PendingPage &p = it->second;
-    if (inserted && table_.find(addr) == nullptr) {
-        // Uncommitted page: this domain's first-touch candidate.
-        // Events within a domain execute in time order, so the first
-        // record carries the domain's earliest tick.
-        p.first_tick = tick;
-        p.first_node = node;
-        p.tentative_home = placement_.tentativeHome(vpage, node);
+    const auto [p, inserted] = s.pending.insert(PendingPage{vpage});
+    if (inserted) {
+        s.touched.push_back(vpage);
+        if (table_.find(addr) == nullptr) {
+            // Uncommitted page: this domain's first-touch candidate.
+            // Events within a domain execute in time order, so the
+            // first record carries the domain's earliest tick.
+            p->first_tick = tick;
+            p->first_node = node;
+            p->tentative_home = placement_.tentativeHome(vpage, node);
+        }
     }
-    p.touch_mask |= static_cast<std::uint16_t>(1u << node);
+    p->touch_mask |= static_cast<std::uint16_t>(1u << node);
     if (isWrite(type))
-        p.written = true;
+        p->written = true;
     s.profiler->record(addr, node, type);
 }
 
@@ -78,7 +73,7 @@ PageManager::route(Addr addr, NodeId node, AccessType type, Cycle now)
     } else {
         // First seen this window: route to the tentative first-touch
         // home until the barrier commits the real placement.
-        const PendingPage *p = pendingOf(s, vpage);
+        const PendingPage *p = s.pending.find(vpage);
         carve_assert(p != nullptr && p->first_node != invalid_node);
         home = p->tentative_home;
     }
@@ -111,7 +106,9 @@ PageManager::commitWindow(Cycle now, SystemFabric *fabric)
     };
     std::vector<Candidate> candidates;
     for (unsigned slot = 0; slot < shards_.size(); ++slot) {
-        for (const auto &[vpage, p] : shards_[slot].pending) {
+        const DomainShard &s = shards_[slot];
+        for (const Addr vpage : s.touched) {
+            const PendingPage &p = *s.pending.find(vpage);
             if (p.first_node != invalid_node)
                 candidates.push_back({p.first_tick, slot, vpage,
                                       p.first_node});
@@ -135,15 +132,18 @@ PageManager::commitWindow(Cycle now, SystemFabric *fabric)
         ++first_touches_;
     }
 
-    // (2) Merge the window's touch masks (commutative ORs).
+    // (2) Merge the window's touch masks (commutative ORs) and empty
+    // each overlay, in O(pages it touched).
     for (DomainShard &s : shards_) {
-        for (const auto &[vpage, p] : s.pending) {
+        for (const Addr vpage : s.touched) {
+            PendingPage *p = s.pending.find(vpage);
             PageEntry &page = table_.entry(vpage);
-            page.touch_mask |= p.touch_mask;
-            if (p.written)
+            page.touch_mask |= p->touch_mask;
+            if (p->written)
                 page.written = true;
+            s.pending.erase(p);
         }
-        s.pending.clear();
+        s.touched.clear();
     }
 
     // (3) Replay the route logs domain-major through the policy

@@ -6,9 +6,13 @@
  * domain engine:
  *
  *  - recordAccess() / route() run mid-window inside the accessing
- *    GPU's event domain and touch only per-domain state (overlay maps,
- *    profiler shards, route logs) plus the *committed* page table,
- *    which is immutable between barriers — so domains never race;
+ *    GPU's event domain and touch only per-domain state (the pending
+ *    overlay, profiler shards, route logs) plus the *committed* page
+ *    table, which is immutable between barriers — so domains never
+ *    race. The overlay is a FlatTable of the pages the domain touched
+ *    this window, with their keys listed in first-touch order, so the
+ *    barrier walks and empties it in O(pages touched), and a steady
+ *    run allocates nothing for it;
  *  - commitWindow() runs single-threaded at every window barrier: it
  *    applies first touches in deterministic (tick, domain, page)
  *    order, then replays the window's route log domain-major through
@@ -25,10 +29,10 @@
 #define CARVE_NUMA_PAGE_MANAGER_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/flat_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "numa/migration.hh"
@@ -119,6 +123,7 @@ class PageManager
     /** Per-domain view of a page first seen this window. */
     struct PendingPage
     {
+        Addr vpage = invalid_addr;  ///< the key; invalid_addr: unused
         Cycle first_tick = 0;       ///< this domain's earliest access
         NodeId first_node = invalid_node;  ///< who touched it first
         NodeId tentative_home = invalid_node;
@@ -134,11 +139,24 @@ class PageManager
         bool write;
     };
 
+    struct PendingKey
+    {
+        static constexpr PendingPage free_slot{
+            invalid_addr, 0, invalid_node, invalid_node, 0, false};
+        static bool
+        isFree(const PendingPage &p)
+        {
+            return p.vpage == invalid_addr;
+        }
+        std::uint64_t key(const PendingPage &p) const { return p.vpage; }
+    };
+
     /** Per-domain mid-window state; padded apart because adjacent
      * shards are written by different worker threads. */
     struct alignas(64) DomainShard
     {
-        std::unordered_map<Addr, PendingPage> pending;
+        FlatTable<PendingPage, PendingKey> pending;
+        std::vector<Addr> touched;  ///< pending's keys, in insert order
         std::vector<RouteOp> route_log;
         std::unique_ptr<SharingProfiler> profiler;
     };
@@ -146,7 +164,6 @@ class PageManager
     /** The calling context's shard (GPU domains 0..G-1; barrier and
      * engine-less callers share the last slot). */
     DomainShard &shard();
-    const PendingPage *pendingOf(const DomainShard &s, Addr vpage) const;
 
     const SystemConfig &cfg_;
     PageTable table_;

@@ -39,6 +39,22 @@ TEST(Units, FloorLog2)
     EXPECT_EQ(floorLog2(1ull << 33), 33u);
 }
 
+TEST(Units, DivisorMatchesDivisionForAnyDivisor)
+{
+    // Powers of two take the shift/mask path, the rest divide.
+    for (const std::uint64_t d : {1ull, 2ull, 3ull, 7ull, 16ull, 24ull,
+                                  128ull, 1000ull, 1ull << 33}) {
+        const Divisor div(d);
+        EXPECT_EQ(div.value(), d);
+        for (const std::uint64_t x :
+             {0ull, 1ull, 5ull, 127ull, 128ull, 4095ull, 123456789ull,
+              (1ull << 40) + 17, ~0ull}) {
+            EXPECT_EQ(div.div(x), x / d) << x << " / " << d;
+            EXPECT_EQ(div.mod(x), x % d) << x << " % " << d;
+        }
+    }
+}
+
 TEST(Units, Alignment)
 {
     EXPECT_EQ(alignDown(0x12345, 0x1000), 0x12000u);

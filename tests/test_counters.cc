@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -22,13 +23,20 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "coherence/imst.hh"
 #include "common/config.hh"
 #include "common/domain_engine.hh"
 #include "common/event_queue.hh"
+#include "common/flat_table.hh"
+#include "common/ring.hh"
 #include "core/simulator.hh"
+#include "dramcache/alloy_cache.hh"
 #include "gpu/sm.hh"
 #include "interconnect/link.hh"
+#include "mem/memory_controller.hh"
+#include "numa/page_manager.hh"
 #include "workloads/suite.hh"
 
 // ---- allocation accounting -------------------------------------------
@@ -170,13 +178,15 @@ goldenFor(const std::string &cell)
 }
 
 /** @p preset on suite workload @p workload as a smoke cell: scale 8,
- * duration 0.05, no line profiling. */
+ * duration @p duration (0.05 for the golden cells), no line
+ * profiling. */
 SimJob
-smokeJob(Preset preset, const std::string &workload)
+smokeJob(Preset preset, const std::string &workload,
+         double duration = 0.05)
 {
     SuiteOptions suite;
     suite.memory_scale = 8;
-    suite.duration = 0.05;
+    suite.duration = duration;
     RunOptions opts;
     opts.profile_lines = false;
     opts.max_cycles = 1'000'000'000;
@@ -272,6 +282,301 @@ TEST(Counters, NumaGpuAuditLulesh)
 }
 
 // ---- steady state allocates nothing ----------------------------------
+
+/** Events and heap allocations of one run of @p job. */
+Counters
+runCounters(const SimJob &job)
+{
+    Counters c;
+    c.allocations = allocationsDuring([&] { c.events = run(job).events; });
+    return c;
+}
+
+/** A longer trace adds events, not allocations: every per-access
+ * structure reaches its working size early in the run. */
+void
+expectDoublingAddsNoAllocations(Preset preset)
+{
+    constexpr std::uint64_t kSlack = 64;
+    const Counters base = runCounters(smokeJob(preset, "XSBench", 0.1));
+    const Counters doubled =
+        runCounters(smokeJob(preset, "XSBench", 0.2));
+    EXPECT_GT(doubled.events, base.events + base.events / 2);
+    EXPECT_LE(doubled.allocations, base.allocations + kSlack)
+        << presetName(preset) << "/XSBench: duration 0.1 made "
+        << base.allocations << " allocations, 0.2 made "
+        << doubled.allocations;
+}
+
+TEST(Counters, NumaGpuLongerTraceAddsNoAllocations)
+{
+    expectDoublingAddsNoAllocations(Preset::NumaGpu);
+}
+
+TEST(Counters, CarveHwcLongerTraceAddsNoAllocations)
+{
+    expectDoublingAddsNoAllocations(Preset::CarveHwc);
+}
+
+TEST(Counters, ImstRetouchAllocatesNothing)
+{
+    Imst imst(0, 0.5);
+    bool inval = false;
+    const auto touch = [&] {
+        for (Addr line = 0; line < 4096; ++line) {
+            imst.onAccess(line * 128, static_cast<NodeId>(line % 3),
+                          line % 5 == 0 ? AccessType::Write
+                                        : AccessType::Read,
+                          inval);
+        }
+    };
+    touch();  // warm-up: every line tracked
+    EXPECT_EQ(allocationsDuring(touch), 0u);
+    EXPECT_EQ(imst.trackedLines(), 4096u);
+}
+
+TEST(Counters, AlloyHeldSetsAllocateNothing)
+{
+    constexpr std::uint64_t kSets = 1024;
+    AlloyCache rdc(kSets * 128 * 64, 128);
+    const auto fill = [&](Addr base) {
+        for (std::uint64_t set = 0; set < kSets; ++set) {
+            const Addr line = base + set * 128;
+            if (rdc.lookup(line, 0) != RdcLookup::Hit)
+                rdc.insert(line, 0, set % 2 == 0, 1);
+        }
+    };
+    fill(0);  // warm-up: every set held
+    // Hits, then conflicting tags that displace the held lines.
+    const Addr conflict = rdc.numSets() * 128;
+    EXPECT_EQ(allocationsDuring([&] {
+                  fill(0);
+                  fill(conflict);
+              }),
+              0u);
+    EXPECT_EQ(rdc.touchedSets(), kSets);
+    EXPECT_EQ(rdc.conflictEvictions(), kSets);
+}
+
+TEST(Counters, PageManagerRepeatedWindowsAllocateNothing)
+{
+    const SystemConfig cfg = SystemConfig{}.scaled(8);
+    PageManager pm(cfg);
+    Cycle tick = 0;
+    const auto windows = [&](unsigned n) {
+        for (unsigned w = 0; w < n; ++w) {
+            for (unsigned i = 0; i < 256; ++i) {
+                const auto gpu = static_cast<NodeId>(i % cfg.num_gpus);
+                const Addr addr = (i % 32) * cfg.page_size + i * 128;
+                const AccessType type =
+                    i % 7 == 0 ? AccessType::Write : AccessType::Read;
+                engine_ctx::current_shard = gpu;
+                pm.recordAccess(addr, gpu, type, tick);
+                (void)pm.route(addr, gpu, type, tick);
+                ++tick;
+            }
+            engine_ctx::current_shard = engine_ctx::barrier_shard;
+            pm.commitWindow(tick);
+        }
+    };
+    windows(4);  // warm-up: pages committed, overlays at working size
+    EXPECT_EQ(allocationsDuring([&] { windows(16); }), 0u);
+    EXPECT_EQ(pm.firstTouches(), 32u);
+}
+
+TEST(Counters, MemoryControllerStagedStreamAllocatesNothing)
+{
+    EventQueue eq;
+    SystemConfig cfg;
+    cfg.dram.channels = 2;
+    cfg.dram.read_queue = 4;
+    cfg.dram.write_queue = 4;
+    MemoryController mc(eq, cfg);
+    const auto stream = [&] {
+        for (unsigned i = 0; i < 512; ++i) {
+            mc.access(static_cast<Addr>(i) * cfg.line_size,
+                      i % 3 == 0 ? AccessType::Write : AccessType::Read,
+                      {});
+        }
+        eq.run();
+    };
+    stream();  // warm-up: queues and staging at their high-water mark
+    EXPECT_EQ(allocationsDuring(stream), 0u);
+    EXPECT_EQ(mc.reads() + mc.writes(), 1024u);
+}
+
+// ---- the flat containers those rely on -------------------------------
+
+struct KeyValue
+{
+    std::uint64_t key;
+    std::uint64_t value;
+};
+
+struct KeyValueTraits
+{
+    static constexpr KeyValue free_slot{~std::uint64_t{0}, 0};
+    static bool isFree(const KeyValue &s) { return s.key == free_slot.key; }
+    std::uint64_t key(const KeyValue &s) const { return s.key; }
+};
+
+using KeyValueTable = FlatTable<KeyValue, KeyValueTraits>;
+
+/** Keys strided by a power of two, the worst case for a weak hash. */
+std::uint64_t
+keyAt(std::uint64_t i)
+{
+    return i << 21;
+}
+
+TEST(FlatTable, FindAndInsertAcrossGrowth)
+{
+    EXPECT_EQ(allocationsDuring([] { KeyValueTable empty; }), 0u);
+    KeyValueTable t;
+    EXPECT_EQ(t.find(keyAt(1)), nullptr);
+    unsigned growths = 0;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        std::pair<KeyValue *, bool> r;
+        const std::uint64_t grew =
+            allocationsDuring([&] { r = t.insert({keyAt(i), i}); });
+        EXPECT_TRUE(r.second);
+        EXPECT_EQ(r.first->value, i);
+        if (grew != 0) {
+            // Just grew: every earlier key moved and is still found.
+            ++growths;
+            for (std::uint64_t j = 0; j <= i; ++j) {
+                ASSERT_NE(t.find(keyAt(j)), nullptr) << j;
+                EXPECT_EQ(t.find(keyAt(j))->value, j);
+            }
+        }
+    }
+    EXPECT_GE(growths, 5u);
+    EXPECT_EQ(t.size(), 1000u);
+    EXPECT_EQ(t.find(keyAt(1000)), nullptr);
+    // A resident key is left as it is.
+    const auto [slot, inserted] = t.insert({keyAt(7), 99});
+    EXPECT_FALSE(inserted);
+    EXPECT_EQ(slot->value, 7u);
+    EXPECT_EQ(t.size(), 1000u);
+}
+
+TEST(FlatTable, ClearThenReuse)
+{
+    KeyValueTable t;
+    for (std::uint64_t i = 0; i < 500; ++i)
+        t.insert({keyAt(i), i});
+    t.clear();
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.find(keyAt(3)), nullptr);
+    // The storage is kept: refilling it allocates nothing.
+    EXPECT_EQ(allocationsDuring([&] {
+                  for (std::uint64_t i = 500; i < 1000; ++i)
+                      t.insert({keyAt(i), i});
+              }),
+              0u);
+    EXPECT_EQ(t.find(keyAt(3)), nullptr);
+    ASSERT_NE(t.find(keyAt(999)), nullptr);
+    EXPECT_EQ(t.find(keyAt(999))->value, 999u);
+}
+
+TEST(FlatTable, EraseKeepsTheRestFindable)
+{
+    KeyValueTable t;
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        t.insert({keyAt(i), i});
+    for (std::uint64_t i = 0; i < 1000; i += 3)
+        t.erase(t.find(keyAt(i)));
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        const KeyValue *s = t.find(keyAt(i));
+        if (i % 3 == 0) {
+            EXPECT_EQ(s, nullptr) << i;
+        } else {
+            ASSERT_NE(s, nullptr) << i;
+            EXPECT_EQ(s->value, i);
+        }
+    }
+    EXPECT_EQ(t.size(), 666u);
+}
+
+TEST(FlatTable, IterationVisitsEachEntryExactlyOnce)
+{
+    KeyValueTable t;
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        t.insert({keyAt(i), i});
+        if (i % 4 == 0)
+            t.erase(t.find(keyAt(i)));
+        else
+            expected.push_back(keyAt(i));
+    }
+    std::vector<std::uint64_t> seen;
+    t.forEach([&](const KeyValue &s) { seen.push_back(s.key); });
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, expected);
+}
+
+TEST(Ring, FifoOrderAndSteadyStateAllocatesNothing)
+{
+    EXPECT_EQ(allocationsDuring([] { Ring<int> empty; }), 0u);
+    Ring<int> r;
+    int next_in = 0, next_out = 0;
+    const auto churn = [&] {
+        // Interleaved pushes and pops that keep up to 40 queued.
+        for (int round = 0; round < 100; ++round) {
+            while (r.size() < 40)
+                r.push_back(next_in++);
+            for (int k = 0; k < 25; ++k) {
+                ASSERT_EQ(r.front(), next_out++);
+                r.pop_front();
+            }
+        }
+    };
+    churn();  // warm-up: the ring reaches its high-water mark
+    EXPECT_EQ(allocationsDuring(churn), 0u);
+    while (!r.empty()) {
+        EXPECT_EQ(r.front(), next_out++);
+        r.pop_front();
+    }
+    EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Ring, EraseFromTheMiddleKeepsTheOrderOfTheRest)
+{
+    Ring<int> r;
+    for (int i = 0; i < 10; ++i)
+        r.push_back(i);
+    r.erase(4);
+    r.erase(0);
+    r.erase(r.size() - 1);
+    const std::vector<int> want{1, 2, 3, 5, 6, 7, 8};
+    ASSERT_EQ(r.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(r[i], want[i]);
+}
+
+TEST(Ring, GrowsWhileTheHeadHasWrapped)
+{
+    // The first buffer holds 8 elements.
+    Ring<int> r;
+    for (int i = 0; i < 8; ++i)
+        r.push_back(i);
+    for (int i = 0; i < 5; ++i)
+        r.pop_front();
+    // Refill across the buffer's end: no growth yet.
+    EXPECT_EQ(allocationsDuring([&] {
+                  for (int i = 8; i < 13; ++i)
+                      r.push_back(i);
+              }),
+              0u);
+    // Full with the head mid-buffer: this push grows the ring.
+    EXPECT_EQ(allocationsDuring([&] { r.push_back(13); }), 1u);
+    ASSERT_EQ(r.size(), 9u);
+    for (int i = 5; i < 14; ++i) {
+        EXPECT_EQ(r.front(), i);
+        r.pop_front();
+    }
+    EXPECT_TRUE(r.empty());
+}
 
 /** CTAs of two warps that retire at their first issue. */
 class EmptyCtas : public Workload

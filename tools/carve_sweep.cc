@@ -57,6 +57,9 @@ struct CliOptions
     unsigned fuzz = 0;  ///< 0 == grid mode
     std::uint64_t fuzz_seed = 1;
     std::vector<std::string> overrides;
+    /** First flag that added to overrides (--set, --engine or
+     * --sim-threads); --fuzz rejects it. */
+    std::string override_flag;
     std::string out_path;
     std::string baseline_path;
     std::string compare_path;
@@ -107,7 +110,9 @@ usage()
         "  --fuzz N                  instead of a grid, draw N random\n"
         "                            valid configs x workloads from\n"
         "                            the override registry and run\n"
-        "                            them short and audited\n"
+        "                            them short and audited (not with\n"
+        "                            --set, --engine, --sim-threads\n"
+        "                            or --baseline)\n"
         "  --fuzz-seed S             fuzz campaign seed (default 1)\n"
         "\n"
         "execution:\n"
@@ -285,11 +290,15 @@ parseArgs(int argc, char **argv)
             // exactly like any other --set.
             cli.overrides.push_back("engine=" +
                                     need(i, "--engine"));
+            if (cli.override_flag.empty())
+                cli.override_flag = a;
         } else if (a == "--sim-threads") {
             cli.overrides.push_back(
                 "sim_threads=" +
                 std::to_string(parseU64("--sim-threads",
                                         need(i, "--sim-threads"))));
+            if (cli.override_flag.empty())
+                cli.override_flag = a;
         } else if (a == "--max-cycles") {
             cli.max_cycles =
                 parseU64("--max-cycles", need(i, "--max-cycles"));
@@ -300,6 +309,8 @@ parseArgs(int argc, char **argv)
             cli.server_path = need(i, "--server");
         } else if (a == "--set") {
             cli.overrides.push_back(need(i, "--set"));
+            if (cli.override_flag.empty())
+                cli.override_flag = a;
         } else if (a == "--profile-lines") {
             cli.profile_lines = true;
         } else if (a == "--telemetry") {
@@ -553,6 +564,15 @@ main(int argc, char **argv)
             fatal("--compare requires --baseline");
         return compareMode(cli);
     }
+
+    // Each fuzz spec draws its own configuration and no gate runs
+    // after the campaign, so these flags would be dropped unread.
+    if (cli.fuzz > 0 && !cli.override_flag.empty())
+        fatal("%s cannot be combined with --fuzz: fuzz runs draw "
+              "their own configuration", cli.override_flag.c_str());
+    if (cli.fuzz > 0 && !cli.baseline_path.empty())
+        fatal("--baseline cannot be combined with --fuzz: a fuzz "
+              "campaign is not gated against a baseline");
 
     // Read the baseline up-front: a missing or unparsable file must
     // fail the invocation immediately, not after the whole sweep has
